@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.bus import NULL_TRACE_BUS
-from repro.tcp.reassembly import make_reassembly_queue
+from repro.tcp.reassembly import ReassemblyQueue
 
 
 @dataclass
@@ -84,7 +84,7 @@ class ConnectionReceiveBuffer:
                  trace=NULL_TRACE_BUS) -> None:
         self.capacity = capacity
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._queue = make_reassembly_queue(rcv_nxt=0)
+        self._queue = ReassemblyQueue(rcv_nxt=0)
         self.metrics = ReceiveBufferMetrics()
         self.on_deliver: Optional[Callable[[int], None]] = None
         # Blocked-interval tracking (rbuf.blocked / rbuf.unblocked

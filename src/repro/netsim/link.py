@@ -27,25 +27,14 @@ import bisect
 import collections
 import random
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 from repro.netsim.packet import Packet
 from repro.obs.metrics import BYTES_EDGES
 from repro.sim.engine import Simulator
-from repro.sim.fastpath import scalar_mode
 
 #: Queue length at which :meth:`Link._serve_next` switches from the
 #: scalar per-packet path to a batched burst.  A singleton queue stays
 #: scalar (zero batch-build overhead on idle links).
 _BATCH_MIN = 2
-
-#: Burst size at which RNG-free links switch from the sequential
-#: replication loop to the numpy path.  Both produce bit-identical
-#: floats; numpy only amortizes better on long bursts.
-_NUMPY_MIN = 16
 
 #: Build-time outcome codes for packets of an active burst, kept so a
 #: mid-burst link-down can rewind the burst's precounted statistics.
@@ -165,8 +154,8 @@ class Link:
         self._modulated = (config.modulation is not None
                            and config.modulation.sigma != 0.0)
         #: Batched serving enabled?  Cleared by :meth:`disable_batching`
-        #: (mobility / shared-world owners) and by ``REPRO_SCALAR=1``.
-        self._vectorized = not scalar_mode()
+        #: (mobility / shared-world owners) and by :meth:`set_down`.
+        self._vectorized = True
         # Active-burst bookkeeping.  While a burst is in flight the
         # packets are no longer in ``_queue``, so drop-tail admission
         # and occupancy reads reconstruct "bytes not yet in service"
@@ -212,9 +201,18 @@ class Link:
         (:meth:`set_fluid_load` called mid-run) mutate link state while
         packets are in flight.  A precomputed burst cannot follow such
         mutations without replaying RNG draws, so owners of volatile
-        links pin them scalar at construction time; batching on all
-        other links is byte-identical to the scalar path (the
-        determinism guard asserts it).
+        links pin them scalar at construction time.
+
+        What batching guarantees elsewhere: one link fed one packet
+        stream delivers bit-identical (time, packet) sequences, RNG
+        draws and stats either way, and so do whole cells with one
+        subflow per interface (SP, MP-2).  It is *not* a whole-run
+        guarantee: with sibling subflows sharing a link (MP-4) two
+        same-instant packets can swap on the wire, which moves
+        individual RTT samples though not the download time
+        (tests/netsim/test_link_batched.py pins both facts).  The
+        determinism guard and perfbench/oracle.json pin the batched
+        ordering.
         """
         self._vectorized = False
 
@@ -396,83 +394,55 @@ class Link:
         now = self.sim.now
         prop = config.prop_delay
         arq = config.arq
-        rng_free = (not self._modulated and config.loss_rate == 0.0
-                    and config.jitter_mean == 0.0
-                    and (arq is None or arq.error_rate == 0.0))
-        if rng_free and count >= _NUMPY_MIN and _np is not None:
-            # Vectorized path.  np.cumsum accumulates sequentially, so
-            # seeding element 0 with `now` reproduces the scalar chain
-            # ((now + s1) + s2) ... bit-for-bit; the FIFO clamp is a
-            # running maximum seeded with the last delivery time.
-            rate = self._rate_at(now)
-            acc = _np.empty(count + 1, dtype=_np.float64)
-            acc[0] = now
-            acc[1:] = _np.asarray(sizes, dtype=_np.float64) * 8.0 / rate
-            completions = _np.cumsum(acc)
-            starts = completions[:count].tolist()
-            burst_end = float(completions[count])
-            clamp = _np.empty(count + 1, dtype=_np.float64)
-            clamp[0] = self._last_delivery_time
-            clamp[1:] = completions[1:] + prop
-            delivery_times = _np.maximum.accumulate(clamp)[1:].tolist()
-            delivery_args = packets
-            entry_index = list(range(count))
-            outcomes = [0] * count
-            self._last_delivery_time = delivery_times[-1]
-            stats = self.stats
-            stats.packets_delivered += count
-            stats.bytes_delivered += sum(sizes)
-        else:
-            # Sequential replication: the exact scalar per-packet loop,
-            # evaluated ahead of time.  Draw order matches the event
-            # interleaving of the scalar pipeline: modulation at this
-            # packet's service start, then its propagation draws, then
-            # the next packet's modulation step.
-            rng = self.rng
-            stats = self.stats
-            jitter_mean = config.jitter_mean
-            loss_rate = config.loss_rate
-            arq_on = arq is not None and arq.error_rate > 0.0
-            starts = [0.0] * count
-            delivery_times: list = []
-            delivery_args: list = []
-            entry_index = [-1] * count
-            outcomes = [0] * count
-            last = self._last_delivery_time
-            t = now
-            for j in range(count):
-                starts[j] = t
-                size = sizes[j]
-                t = t + size * 8.0 / self._rate_at(t)
-                delay = prop
-                if jitter_mean > 0.0:
-                    delay += rng.expovariate(1.0 / jitter_mean)
-                if loss_rate > 0.0 and rng.random() < loss_rate:
-                    stats.drops_loss += 1
-                    outcomes[j] = _LOSS
-                    continue
-                if arq_on:
-                    if rng.random() < arq.error_rate:
-                        if rng.random() < arq.residual_loss:
-                            stats.drops_arq_residual += 1
-                            outcomes[j] = _ARQ_LOSS
-                            continue
-                        stats.arq_recoveries += 1
-                        outcomes[j] = _ARQ_RECOVERED
-                        delay += rng.uniform(arq.recovery_min,
-                                             arq.recovery_max)
-                stats.packets_delivered += 1
-                stats.bytes_delivered += size
-                delivery_time = t + delay
-                if delivery_time < last:
-                    delivery_time = last
-                else:
-                    last = delivery_time
-                entry_index[j] = len(delivery_times)
-                delivery_times.append(delivery_time)
-                delivery_args.append(packets[j])
-            self._last_delivery_time = last
-            burst_end = t
+        # The exact per-packet loop, evaluated ahead of time.  Draw
+        # order matches the event interleaving of the per-packet
+        # pipeline: modulation at this packet's service start, then its
+        # propagation draws, then the next packet's modulation step.
+        rng = self.rng
+        stats = self.stats
+        jitter_mean = config.jitter_mean
+        loss_rate = config.loss_rate
+        arq_on = arq is not None and arq.error_rate > 0.0
+        starts = [0.0] * count
+        delivery_times: list = []
+        delivery_args: list = []
+        entry_index = [-1] * count
+        outcomes = [0] * count
+        last = self._last_delivery_time
+        t = now
+        for j in range(count):
+            starts[j] = t
+            size = sizes[j]
+            t = t + size * 8.0 / self._rate_at(t)
+            delay = prop
+            if jitter_mean > 0.0:
+                delay += rng.expovariate(1.0 / jitter_mean)
+            if loss_rate > 0.0 and rng.random() < loss_rate:
+                stats.drops_loss += 1
+                outcomes[j] = _LOSS
+                continue
+            if arq_on:
+                if rng.random() < arq.error_rate:
+                    if rng.random() < arq.residual_loss:
+                        stats.drops_arq_residual += 1
+                        outcomes[j] = _ARQ_LOSS
+                        continue
+                    stats.arq_recoveries += 1
+                    outcomes[j] = _ARQ_RECOVERED
+                    delay += rng.uniform(arq.recovery_min,
+                                         arq.recovery_max)
+            stats.packets_delivered += 1
+            stats.bytes_delivered += size
+            delivery_time = t + delay
+            if delivery_time < last:
+                delivery_time = last
+            else:
+                last = delivery_time
+            entry_index[j] = len(delivery_times)
+            delivery_times.append(delivery_time)
+            delivery_args.append(packets[j])
+        self._last_delivery_time = last
+        burst_end = t
         suffix = [0] * (count + 1)
         total = 0
         for j in range(count - 1, -1, -1):

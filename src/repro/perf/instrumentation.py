@@ -81,8 +81,8 @@ class Instrumentation(NullInstrumentation):
         self.add("events_posted", sim.events_posted)
         self.add("pool_reuses", sim.pool_reuses)
         self.add("heap_compactions", sim.heap_compactions)
-        # Vectorized-core telemetry: batched link deliveries and the
-        # arena scoreboard's occupancy high-water mark.
+        # Packet-core telemetry: batched link deliveries and the
+        # sender scoreboard's occupancy high-water mark.
         self.add("batches_posted", sim.batches_posted)
         self.add("batch_entries", sim.batch_entries)
         self.add("batch_inline", sim.batch_inline)

@@ -1,65 +1,34 @@
-"""Segment arena: column-store sender scoreboard bookkeeping.
+"""Sender scoreboard: the endpoint's transmitted-but-unacked ranges.
 
 The TCP endpoint tracks every transmitted-but-unacknowledged range in a
-scoreboard (RFC 6675 terminology).  The legacy structure was an
-``OrderedDict`` of slotted ``SentSegment`` records -- one Python object
-per in-flight packet, walked linearly on every SACK block, loss mark
-and cumulative ACK.  At bandwidth-delay products of hundreds of
-segments those walks dominate the sender's cost.
+scoreboard (RFC 6675 terminology).  :class:`SendScoreboard` keeps one
+slotted :class:`SentSegment` per range in a ``collections.deque``:
+sequence numbers only ever append at the tail and retire at the head,
+and nothing looks a range up by sequence number.
 
-:class:`SegmentArena` replaces the per-segment objects with
-preallocated numpy column arrays (seq, end_seq, payload length, DSN,
-FIN flag, timestamps, retransmit/loss state).  Slots are recycled: the
-live region is contiguous (``[head, tail)`` -- sequence numbers only
-ever append at the tail and retire at the head), and freed front slots
-are reclaimed in bulk when the arena compacts or grows.  Because both
-``seq`` and ``end_seq`` are sorted within the live region, the
-scoreboard operations become ``searchsorted`` + one vectorized mask:
-
-* SACK marking covers a ``[start, end)`` block with two binary
-  searches and a masked assignment;
-* RFC 6675 loss inference (`mark_losses`) is one comparison mask below
-  the SACK threshold;
-* cumulative ACKs (`advance_una`) retire a whole prefix by moving the
-  head cursor -- no per-segment pops.
-
-:class:`SegmentView` is a flyweight handle exposing the legacy slotted
-attribute API (``seq``, ``end_seq``, ``seq_space``, ``state``, ...) so
-call sites and tests keep working unchanged.  Views are *ephemeral*:
-they stay valid until the next ``append`` (which may compact), which
-matches how the endpoint uses them (created, transmitted, dropped
-within one event).
-
-Everything here is byte-identical to the scalar scoreboard -- the same
-marks in the same order, the same RTT sample selection (last
-never-retransmitted segment retired by the ACK).  ``REPRO_SCALAR=1``
-(or a missing numpy) selects :class:`PySendScoreboard`, the legacy
-object-per-segment implementation, via :func:`make_scoreboard`.
+The mutating operations return exactly the aggregates the endpoint
+needs to maintain its ``pipe`` / ``_lost_count`` accounting, so the
+congestion-control math stays in :mod:`repro.tcp.endpoint`.  Every walk
+starts at the head and stops at the first range past the SACK block,
+loss threshold or cumulative ACK -- a cumulative ACK typically retires
+one or two ranges out of a window of a hundred, which is why plain
+objects beat a column store here (docs/performance.md has the
+end-to-end numbers).
 """
 
 from __future__ import annotations
 
 import collections
-from typing import Iterator, List, Optional, Tuple
-
-try:  # pragma: no cover - exercised implicitly everywhere
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-from repro.sim.fastpath import scalar_mode
+from typing import Iterator, Optional, Tuple
 
 # Scoreboard states, shared with repro.tcp.endpoint.
 FLIGHT = 0   # transmitted, assumed in the network
 SACKED = 1   # selectively acknowledged
 LOST = 2     # deemed lost (retransmitted or RTO-marked)
 
-_INITIAL_CAPACITY = 256
-_NO_DSN = -1  # column sentinel: DSNs are non-negative
-
 
 class SentSegment:
-    """Legacy sender-side bookkeeping for one transmitted range."""
+    """Sender-side bookkeeping for one transmitted range."""
 
     __slots__ = ("seq", "seq_space", "payload_len", "fin", "dsn",
                  "sent_at", "retransmits", "state", "rexmit_epoch")
@@ -86,203 +55,49 @@ class SentSegment:
         self.rexmit_epoch = epoch
 
 
-class SegmentView:
-    """Flyweight handle over one arena slot, slotted-attribute API."""
+class SendScoreboard:
+    """The endpoint's ``_sent`` structure: in-flight ranges, oldest first."""
 
-    __slots__ = ("_arena", "_index")
-
-    def __init__(self, arena: "SegmentArena", index: int) -> None:
-        self._arena = arena
-        self._index = index
-
-    @property
-    def seq(self) -> int:
-        return int(self._arena.seq[self._index])
-
-    @property
-    def end_seq(self) -> int:
-        return int(self._arena.end_seq[self._index])
-
-    @property
-    def seq_space(self) -> int:
-        arena = self._arena
-        return int(arena.end_seq[self._index] - arena.seq[self._index])
-
-    @property
-    def payload_len(self) -> int:
-        return int(self._arena.payload_len[self._index])
-
-    @property
-    def fin(self) -> bool:
-        return bool(self._arena.fin[self._index])
-
-    @property
-    def dsn(self) -> Optional[int]:
-        value = int(self._arena.dsn[self._index])
-        return None if value == _NO_DSN else value
-
-    @property
-    def sent_at(self) -> float:
-        return float(self._arena.sent_at[self._index])
-
-    @property
-    def retransmits(self) -> int:
-        return int(self._arena.retransmits[self._index])
-
-    @property
-    def state(self) -> int:
-        return int(self._arena.state[self._index])
-
-    @property
-    def rexmit_epoch(self) -> int:
-        return int(self._arena.rexmit_epoch[self._index])
-
-    def mark_retransmitted(self, epoch: int) -> None:
-        arena = self._arena
-        index = self._index
-        arena.state[index] = FLIGHT
-        arena.retransmits[index] += 1
-        arena.rexmit_epoch[index] = epoch
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<SegmentView [{self.seq},{self.end_seq}) "
-                f"state={self.state}>")
-
-
-class SegmentArena:
-    """Preallocated column arrays with a contiguous ``[head, tail)``
-    live region and bulk slot recycling."""
-
-    __slots__ = ("capacity", "head", "tail", "seq", "end_seq",
-                 "payload_len", "fin", "dsn", "sent_at", "retransmits",
-                 "state", "rexmit_epoch")
-
-    def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
-        self.capacity = capacity
-        self.head = 0
-        self.tail = 0
-        self.seq = _np.zeros(capacity, dtype=_np.int64)
-        self.end_seq = _np.zeros(capacity, dtype=_np.int64)
-        self.payload_len = _np.zeros(capacity, dtype=_np.int64)
-        self.fin = _np.zeros(capacity, dtype=_np.bool_)
-        self.dsn = _np.zeros(capacity, dtype=_np.int64)
-        self.sent_at = _np.zeros(capacity, dtype=_np.float64)
-        self.retransmits = _np.zeros(capacity, dtype=_np.int32)
-        self.state = _np.zeros(capacity, dtype=_np.int8)
-        self.rexmit_epoch = _np.zeros(capacity, dtype=_np.int64)
-
-    def __len__(self) -> int:
-        return self.tail - self.head
-
-    _COLUMNS = ("seq", "end_seq", "payload_len", "fin", "dsn",
-                "sent_at", "retransmits", "state", "rexmit_epoch")
-
-    def _make_room(self) -> None:
-        """Recycle retired front slots, growing only when truly full.
-
-        Compacting in place is free real estate while at least half the
-        arena is retired; otherwise double, so appends stay amortized
-        O(1) and no per-segment allocation ever happens on the hot path.
-        """
-        head, tail = self.head, self.tail
-        live = tail - head
-        if head > 0 and live <= self.capacity // 2:
-            for name in self._COLUMNS:
-                column = getattr(self, name)
-                column[:live] = column[head:tail]
-        else:
-            self.capacity = max(self.capacity * 2, _INITIAL_CAPACITY)
-            for name in self._COLUMNS:
-                old = getattr(self, name)
-                column = _np.zeros(self.capacity, dtype=old.dtype)
-                column[:live] = old[head:tail]
-                setattr(self, name, column)
-        self.head = 0
-        self.tail = live
-
-    def append(self, seq: int, seq_space: int, payload_len: int,
-               fin: bool, dsn: Optional[int], sent_at: float) -> int:
-        """Claim a slot for a new range; returns its index."""
-        if self.tail == self.capacity:
-            self._make_room()
-        index = self.tail
-        self.seq[index] = seq
-        self.end_seq[index] = seq + seq_space
-        self.payload_len[index] = payload_len
-        self.fin[index] = fin
-        self.dsn[index] = _NO_DSN if dsn is None else dsn
-        self.sent_at[index] = sent_at
-        self.retransmits[index] = 0
-        self.state[index] = FLIGHT
-        self.rexmit_epoch[index] = -1
-        self.tail = index + 1
-        return index
-
-
-class ArraySendScoreboard:
-    """Arena-backed scoreboard: the endpoint's ``_sent`` structure.
-
-    The mutating operations return exactly the aggregates the endpoint
-    needs to maintain its ``pipe`` / ``_lost_count`` accounting, so the
-    congestion-control math stays in :mod:`repro.tcp.endpoint` and only
-    the per-segment walks move into numpy.
-    """
-
-    __slots__ = ("_arena", "_sim")
+    __slots__ = ("_sent", "_sim")
 
     def __init__(self, sim=None) -> None:
-        self._arena = SegmentArena()
+        self._sent: "collections.deque[SentSegment]" = collections.deque()
         self._sim = sim
 
-    # -- container protocol (tests iterate like the legacy dict) -------
-
     def __len__(self) -> int:
-        return len(self._arena)
+        return len(self._sent)
 
     def __bool__(self) -> bool:
-        return self._arena.tail > self._arena.head
+        return bool(self._sent)
 
-    def values(self) -> List[SegmentView]:
-        arena = self._arena
-        return [SegmentView(arena, index)
-                for index in range(arena.head, arena.tail)]
-
-    # -- mutation -------------------------------------------------------
+    def values(self) -> Iterator[SentSegment]:
+        return iter(self._sent)
 
     def append(self, seq: int, seq_space: int, payload_len: int,
                fin: bool, dsn: Optional[int],
-               sent_at: float) -> SegmentView:
-        arena = self._arena
-        index = arena.append(seq, seq_space, payload_len, fin, dsn,
-                             sent_at)
+               sent_at: float) -> SentSegment:
+        sent = SentSegment(seq, seq_space, payload_len, fin, dsn,
+                           sent_at)
+        self._sent.append(sent)
         sim = self._sim
-        if sim is not None:
-            live = arena.tail - arena.head
-            if live > sim.arena_peak:
-                sim.arena_peak = live
-        return SegmentView(arena, index)
+        if sim is not None and len(self._sent) > sim.arena_peak:
+            sim.arena_peak = len(self._sent)
+        return sent
 
     def sack(self, start: int, end: int) -> int:
         """Mark in-flight ranges fully inside ``[start, end)`` SACKed.
 
         Returns the byte count newly removed from the pipe.
         """
-        arena = self._arena
-        head, tail = arena.head, arena.tail
-        if head == tail:
-            return 0
-        lo = head + int(_np.searchsorted(arena.seq[head:tail], start,
-                                         side="left"))
-        hi = head + int(_np.searchsorted(arena.end_seq[head:tail], end,
-                                         side="right"))
-        if hi <= lo:
-            return 0
-        state = arena.state[lo:hi]
-        mask = state == FLIGHT
-        if not mask.any():
-            return 0
-        freed = int((arena.end_seq[lo:hi] - arena.seq[lo:hi])[mask].sum())
-        state[mask] = SACKED
+        freed = 0
+        for sent in self._sent:
+            seq = sent.seq
+            if seq >= end:
+                break
+            if (sent.state == FLIGHT and seq >= start
+                    and seq + sent.seq_space <= end):
+                sent.state = SACKED
+                freed += sent.seq_space
         return freed
 
     def mark_losses(self, threshold: int, epoch: int) -> Tuple[int, int]:
@@ -292,22 +107,14 @@ class ArraySendScoreboard:
         (unless already retransmitted in ``epoch``) as LOST; returns
         ``(count, freed_bytes)`` for the pipe bookkeeping.
         """
-        arena = self._arena
-        head, tail = arena.head, arena.tail
-        if head == tail:
-            return 0, 0
-        hi = head + int(_np.searchsorted(arena.end_seq[head:tail],
-                                         threshold, side="right"))
-        if hi <= head:
-            return 0, 0
-        state = arena.state[head:hi]
-        mask = (state == FLIGHT) & (arena.rexmit_epoch[head:hi] != epoch)
-        count = int(mask.sum())
-        if not count:
-            return 0, 0
-        freed = int((arena.end_seq[head:hi]
-                     - arena.seq[head:hi])[mask].sum())
-        state[mask] = LOST
+        count = freed = 0
+        for sent in self._sent:
+            if sent.seq + sent.seq_space > threshold:
+                break
+            if sent.state == FLIGHT and sent.rexmit_epoch != epoch:
+                sent.state = LOST
+                count += 1
+                freed += sent.seq_space
         return count, freed
 
     def advance_una(self, ack: int
@@ -319,137 +126,14 @@ class ArraySendScoreboard:
         timestamp of the *last* retired never-retransmitted range (the
         Karn-compliant RTT sample), or ``None``.
         """
-        arena = self._arena
-        head, tail = arena.head, arena.tail
-        hi = head + int(_np.searchsorted(arena.end_seq[head:tail], ack,
-                                         side="right"))
-        if hi <= head:
-            return 0, None, 0, 0
-        retired = slice(head, hi)
-        space = arena.end_seq[retired] - arena.seq[retired]
-        state = arena.state[retired]
-        newly_acked = int(space.sum())
-        flight_freed = int(space[state == FLIGHT].sum())
-        lost_retired = int((state == LOST).sum())
-        fresh = _np.nonzero(arena.retransmits[retired] == 0)[0]
-        rtt_sent_at = (float(arena.sent_at[head + int(fresh[-1])])
-                       if fresh.size else None)
-        arena.head = hi
-        return newly_acked, rtt_sent_at, flight_freed, lost_retired
-
-    def front_unsacked(self) -> Optional[SegmentView]:
-        """First range not selectively acknowledged (retransmit front)."""
-        arena = self._arena
-        head, tail = arena.head, arena.tail
-        if head == tail:
-            return None
-        candidates = _np.nonzero(arena.state[head:tail] != SACKED)[0]
-        if not candidates.size:
-            return None
-        return SegmentView(arena, head + int(candidates[0]))
-
-    def find_lost(self, epoch: int) -> Optional[SegmentView]:
-        """Next LOST range not yet resent in recovery ``epoch``."""
-        arena = self._arena
-        head, tail = arena.head, arena.tail
-        if head == tail:
-            return None
-        mask = ((arena.state[head:tail] == LOST)
-                & (arena.rexmit_epoch[head:tail] != epoch))
-        candidates = _np.nonzero(mask)[0]
-        if not candidates.size:
-            return None
-        return SegmentView(arena, head + int(candidates[0]))
-
-    def mark_all_lost(self) -> Tuple[int, int]:
-        """RTO: every outstanding range becomes LOST.
-
-        Returns ``(flight_freed_bytes, total_count)``.
-        """
-        arena = self._arena
-        head, tail = arena.head, arena.tail
-        if head == tail:
-            return 0, 0
-        live = slice(head, tail)
-        state = arena.state[live]
-        flight = state == FLIGHT
-        flight_freed = int((arena.end_seq[live]
-                            - arena.seq[live])[flight].sum())
-        state[:] = LOST
-        return flight_freed, tail - head
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        arena = self._arena
-        return (f"<ArraySendScoreboard live={len(self)} "
-                f"capacity={arena.capacity}>")
-
-
-class PySendScoreboard:
-    """Legacy object-per-segment scoreboard (``REPRO_SCALAR=1``).
-
-    Preserved verbatim from the pre-arena endpoint: an ordered dict of
-    slotted records walked linearly, so equivalence suites can A/B the
-    vectorized scoreboard against the original access pattern.
-    """
-
-    __slots__ = ("_sent", "_sim")
-
-    def __init__(self, sim=None) -> None:
-        self._sent: "collections.OrderedDict[int, SentSegment]" = \
-            collections.OrderedDict()
-        self._sim = sim
-
-    def __len__(self) -> int:
-        return len(self._sent)
-
-    def __bool__(self) -> bool:
-        return bool(self._sent)
-
-    def values(self) -> Iterator[SentSegment]:
-        return self._sent.values()
-
-    def append(self, seq: int, seq_space: int, payload_len: int,
-               fin: bool, dsn: Optional[int],
-               sent_at: float) -> SentSegment:
-        sent = SentSegment(seq, seq_space, payload_len, fin, dsn,
-                           sent_at)
-        self._sent[seq] = sent
-        sim = self._sim
-        if sim is not None and len(self._sent) > sim.arena_peak:
-            sim.arena_peak = len(self._sent)
-        return sent
-
-    def sack(self, start: int, end: int) -> int:
-        freed = 0
-        for sent in self._sent.values():
-            if sent.seq >= end:
-                break
-            if (sent.state == FLIGHT and sent.seq >= start
-                    and sent.end_seq <= end):
-                sent.state = SACKED
-                freed += sent.seq_space
-        return freed
-
-    def mark_losses(self, threshold: int, epoch: int) -> Tuple[int, int]:
-        count = freed = 0
-        for sent in self._sent.values():
-            if sent.end_seq > threshold:
-                break
-            if sent.state == FLIGHT and sent.rexmit_epoch != epoch:
-                sent.state = LOST
-                count += 1
-                freed += sent.seq_space
-        return count, freed
-
-    def advance_una(self, ack: int
-                    ) -> Tuple[int, Optional[float], int, int]:
         newly_acked = flight_freed = lost_retired = 0
         rtt_sent_at: Optional[float] = None
-        while self._sent:
-            seq, sent = next(iter(self._sent.items()))
-            if sent.end_seq > ack:
+        queue = self._sent
+        while queue:
+            sent = queue[0]
+            if sent.seq + sent.seq_space > ack:
                 break
-            del self._sent[seq]
+            queue.popleft()
             if sent.state == FLIGHT:
                 flight_freed += sent.seq_space
             elif sent.state == LOST:
@@ -460,31 +144,30 @@ class PySendScoreboard:
         return newly_acked, rtt_sent_at, flight_freed, lost_retired
 
     def front_unsacked(self) -> Optional[SentSegment]:
-        for sent in self._sent.values():
+        """First range not selectively acknowledged (retransmit front)."""
+        for sent in self._sent:
             if sent.state != SACKED:
                 return sent
         return None
 
     def find_lost(self, epoch: int) -> Optional[SentSegment]:
-        for sent in self._sent.values():
+        """Next LOST range not yet resent in recovery ``epoch``."""
+        for sent in self._sent:
             if sent.state == LOST and sent.rexmit_epoch != epoch:
                 return sent
         return None
 
     def mark_all_lost(self) -> Tuple[int, int]:
+        """RTO: every outstanding range becomes LOST.
+
+        Returns ``(flight_freed_bytes, total_count)``.
+        """
         flight_freed = 0
-        for sent in self._sent.values():
+        for sent in self._sent:
             if sent.state == FLIGHT:
                 flight_freed += sent.seq_space
             sent.state = LOST
         return flight_freed, len(self._sent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PySendScoreboard live={len(self)}>"
-
-
-def make_scoreboard(sim=None):
-    """Scoreboard factory honouring the ``REPRO_SCALAR`` escape hatch."""
-    if _np is None or scalar_mode():
-        return PySendScoreboard(sim)
-    return ArraySendScoreboard(sim)
+        return f"<SendScoreboard live={len(self)}>"

@@ -223,8 +223,8 @@ class Simulator:
         self.batch_entries = 0
         #: Batch entries drained inline (no heap pop of their own).
         self.batch_inline = 0
-        #: High-water mark of live slots across all segment arenas
-        #: attached to this simulator (see :mod:`repro.sim.arena`).
+        #: High-water mark of in-flight ranges over the sender
+        #: scoreboards attached to this simulator (:mod:`repro.sim.arena`).
         self.arena_peak = 0
         #: Active run()'s ``until`` bound; inline batch draining must
         #: not fire past it (the remainder is pushed back instead).

@@ -23,20 +23,14 @@ interface (:class:`repro.tcp.endpoint.TcpDelegate`).
 
 from repro.tcp.segment import Flags, Segment
 from repro.tcp.rto import RtoEstimator
-from repro.tcp.reassembly import (
-    ArrayReassemblyQueue,
-    ReassemblyQueue,
-    make_reassembly_queue,
-)
+from repro.tcp.reassembly import ReassemblyQueue
 from repro.tcp.endpoint import TcpConfig, TcpEndpoint, TcpListener
 
 __all__ = [
     "Flags",
     "Segment",
     "RtoEstimator",
-    "ArrayReassemblyQueue",
     "ReassemblyQueue",
-    "make_reassembly_queue",
     "TcpConfig",
     "TcpEndpoint",
     "TcpListener",

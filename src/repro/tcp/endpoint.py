@@ -26,9 +26,9 @@ from typing import Callable, Optional, Protocol, Tuple
 
 from repro.netsim.host import Host
 from repro.netsim.packet import Packet
-from repro.sim.arena import FLIGHT, LOST, SACKED, make_scoreboard
+from repro.sim.arena import FLIGHT, LOST, SACKED, SendScoreboard
 from repro.sim.engine import Event, Simulator
-from repro.tcp.reassembly import make_reassembly_queue
+from repro.tcp.reassembly import ReassemblyQueue
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.segment import Flags, Segment
 
@@ -198,9 +198,7 @@ class TcpEndpoint:
         self.snd_una = 0
         self.snd_nxt = 0
         self.peer_window = 64 * 1024
-        # The SACK scoreboard: arena-backed column store by default,
-        # the legacy object-per-segment dict under REPRO_SCALAR=1.
-        self._sent = make_scoreboard(sim)
+        self._sent = SendScoreboard(sim)  # the SACK scoreboard
         self._pipe = 0
         self._pending_bytes = 0      # app bytes not yet segmented (plain mode)
         self._dupacks = 0
@@ -216,9 +214,10 @@ class TcpEndpoint:
         self._close_requested = False
         self._fin_sent = False
         self._consecutive_timeouts = 0
+        self._in_try_send = False
 
         # Receiver state.
-        self.reassembly = make_reassembly_queue(rcv_nxt=1)
+        self.reassembly = ReassemblyQueue(rcv_nxt=1)
         self._peer_fin_seq: Optional[int] = None
         self._peer_fin_delivered = False
         self._unacked_segments = 0
@@ -616,7 +615,7 @@ class TcpEndpoint:
     def _try_send(self) -> None:
         if self.state not in ("established", "close_wait"):
             return
-        if getattr(self, "_in_try_send", False):
+        if self._in_try_send:
             return  # re-entered via scheduler pump: outer loop continues
         self._in_try_send = True
         try:

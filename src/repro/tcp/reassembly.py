@@ -16,13 +16,6 @@ from __future__ import annotations
 import bisect
 from typing import Any, Callable, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly everywhere
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-from repro.sim.fastpath import scalar_mode
-
 
 class ReassemblyQueue:
     """Ordered set of disjoint ``[start, end)`` ranges above ``rcv_nxt``.
@@ -153,215 +146,3 @@ class ReassemblyQueue:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ReassemblyQueue rcv_nxt={self.rcv_nxt} "
                 f"ooo={self.buffered_bytes}B>")
-
-
-class ArrayReassemblyQueue(ReassemblyQueue):
-    """Array-backed reassembly: the vectorized-core receive path.
-
-    Same contract as :class:`ReassemblyQueue`, different storage: the
-    range starts/ends live in preallocated numpy int64 columns with a
-    contiguous ``[head, tail)`` live region (metadata stays in a
-    parallel Python list -- it holds arbitrary objects).  The win is in
-    ``_advance``: when an in-order burst lands, the length of the
-    contiguous run is found with *one* vectorized comparison (stored
-    ranges are disjoint, so a range joins the run exactly when its
-    start equals its predecessor's end) and the whole run retires by a
-    head-cursor move instead of ``list.pop(0)`` per range.
-
-    Delivery callbacks still fire per range with the cumulative point,
-    occupancy and SACK state updated *before* each call -- callbacks
-    may send packets that read the advertised window mid-drain, and
-    those reads must match the scalar implementation byte for byte.
-    """
-
-    _INITIAL_CAPACITY = 64
-
-    def __init__(self, rcv_nxt: int = 0) -> None:
-        self.rcv_nxt = rcv_nxt
-        self._capacity = self._INITIAL_CAPACITY
-        self._astarts = _np.zeros(self._capacity, dtype=_np.int64)
-        self._aends = _np.zeros(self._capacity, dtype=_np.int64)
-        self._metas: List[Any] = []  # parallel to columns [0, tail)
-        self._head = 0
-        self._tail = 0
-        self._buffered = 0
-        self.duplicate_bytes = 0
-
-    # -- storage management ---------------------------------------------
-
-    def _make_room(self) -> None:
-        """Recycle retired head slots; double only when truly full."""
-        head, tail = self._head, self._tail
-        live = tail - head
-        if head > 0 and live <= self._capacity // 2:
-            self._astarts[:live] = self._astarts[head:tail]
-            self._aends[:live] = self._aends[head:tail]
-        else:
-            self._capacity = max(self._capacity * 2,
-                                 self._INITIAL_CAPACITY)
-            for name in ("_astarts", "_aends"):
-                old = getattr(self, name)
-                column = _np.zeros(self._capacity, dtype=_np.int64)
-                column[:live] = old[head:tail]
-                setattr(self, name, column)
-        if head:
-            del self._metas[:head]
-        self._head = 0
-        self._tail = live
-
-    def _insert(self, piece_start: int, piece_end: int,
-                meta: Any) -> None:
-        if self._tail == self._capacity:
-            self._make_room()
-        head, tail = self._head, self._tail
-        index = head + int(_np.searchsorted(
-            self._astarts[head:tail], piece_start, side="left"))
-        if index < tail:
-            self._astarts[index + 1:tail + 1] = self._astarts[index:tail]
-            self._aends[index + 1:tail + 1] = self._aends[index:tail]
-        self._astarts[index] = piece_start
-        self._aends[index] = piece_end
-        self._metas.insert(index, meta)
-        self._tail = tail + 1
-
-    # -- insertion and in-order delivery --------------------------------
-
-    def offer(self, start: int, end: int, meta: Any = None,
-              on_in_order: Optional[Callable[[int, int, Any], None]] = None,
-              ) -> int:
-        if end <= start:
-            return 0
-        accepted = 0
-        if start < self.rcv_nxt:
-            self.duplicate_bytes += min(end, self.rcv_nxt) - start
-            start = self.rcv_nxt
-            if start >= end:
-                return 0
-        if start == self.rcv_nxt and self._head == self._tail:
-            # In-order fast path, identical to the scalar queue.
-            self.rcv_nxt = end
-            if on_in_order is not None:
-                on_in_order(start, end, meta)
-            return end - start
-        pieces = self._uncovered(start, end)
-        self.duplicate_bytes += (end - start) - sum(e - s
-                                                    for s, e in pieces)
-        for piece_start, piece_end in pieces:
-            self._insert(piece_start, piece_end, meta)
-            accepted += piece_end - piece_start
-            self._buffered += piece_end - piece_start
-        if accepted:
-            self._advance(on_in_order)
-        return accepted
-
-    def _uncovered(self, start: int, end: int) -> List[Tuple[int, int]]:
-        pieces: List[Tuple[int, int]] = []
-        cursor = start
-        head, tail = self._head, self._tail
-        starts, ends = self._astarts, self._aends
-        index = head + int(_np.searchsorted(ends[head:tail], start,
-                                            side="right"))
-        while cursor < end and index < tail:
-            range_start = int(starts[index])
-            range_end = int(ends[index])
-            if range_start >= end:
-                break
-            if range_start > cursor:
-                pieces.append((cursor, min(range_start, end)))
-            cursor = max(cursor, range_end)
-            index += 1
-        if cursor < end:
-            pieces.append((cursor, end))
-        return pieces
-
-    def _advance(self,
-                 on_in_order: Optional[Callable[[int, int, Any], None]],
-                 ) -> None:
-        head, tail = self._head, self._tail
-        if head == tail or self._astarts[head] > self.rcv_nxt:
-            return
-        starts, ends = self._astarts, self._aends
-        # One array scan finds the whole contiguous run: ranges are
-        # disjoint, so each joins iff its start meets the previous end.
-        chain = starts[head + 1:tail] == ends[head:tail - 1]
-        broken = _np.nonzero(~chain)[0]
-        run = (int(broken[0]) + 1) if broken.size else (tail - head)
-        run_starts = starts[head:head + run].tolist()
-        run_ends = ends[head:head + run].tolist()
-        for offset in range(run):
-            if self._head != head + offset or self._astarts is not starts:
-                # A delivery callback re-entered offer() and drained /
-                # reshaped the queue under us: resume from live state.
-                self._advance_slow(on_in_order)
-                return
-            start = run_starts[offset]
-            end = run_ends[offset]
-            meta = self._metas[head + offset]
-            self._head = head + offset + 1
-            self._buffered -= end - start
-            if end <= self.rcv_nxt:
-                continue  # fully duplicate range (possible after trims)
-            delivered_start = max(start, self.rcv_nxt)
-            self.rcv_nxt = end
-            if on_in_order is not None:
-                on_in_order(delivered_start, end, meta)
-        if self._head == self._tail:
-            if self._head:
-                del self._metas[:]
-                self._head = self._tail = 0
-        elif self._astarts[self._head] <= self.rcv_nxt:
-            # Re-entrant offers (or exotic trims) left more in-order
-            # data at the head: keep draining.
-            self._advance(on_in_order)
-
-    def _advance_slow(self,
-                      on_in_order: Optional[Callable[[int, int, Any],
-                                                     None]],
-                      ) -> None:
-        """Per-range drain re-reading live state: the re-entrancy path."""
-        while (self._head < self._tail
-               and self._astarts[self._head] <= self.rcv_nxt):
-            head = self._head
-            start = int(self._astarts[head])
-            end = int(self._aends[head])
-            meta = self._metas[head]
-            self._head = head + 1
-            self._buffered -= end - start
-            if end <= self.rcv_nxt:
-                continue
-            delivered_start = max(start, self.rcv_nxt)
-            self.rcv_nxt = end
-            if on_in_order is not None:
-                on_in_order(delivered_start, end, meta)
-        if self._head == self._tail and self._head:
-            del self._metas[:]
-            self._head = self._tail = 0
-
-    # -- introspection ---------------------------------------------------
-
-    @property
-    def pending_ranges(self) -> List[Tuple[int, int]]:
-        head, tail = self._head, self._tail
-        return list(zip(self._astarts[head:tail].tolist(),
-                        self._aends[head:tail].tolist()))
-
-    def sack_blocks(self, limit: int = 3) -> Tuple[Tuple[int, int], ...]:
-        head, tail = self._head, self._tail
-        if head == tail:
-            return ()
-        merged: List[Tuple[int, int]] = []
-        for start, end in zip(self._astarts[head:tail].tolist(),
-                              self._aends[head:tail].tolist()):
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        merged.reverse()  # most recently useful (highest) first
-        return tuple(merged[:limit])
-
-
-def make_reassembly_queue(rcv_nxt: int = 0) -> ReassemblyQueue:
-    """Hot-path factory honouring the ``REPRO_SCALAR`` escape hatch."""
-    if _np is None or scalar_mode():
-        return ReassemblyQueue(rcv_nxt)
-    return ArrayReassemblyQueue(rcv_nxt)

@@ -1,24 +1,30 @@
-"""Vectorized packet core: batched link pipeline equivalence tests.
+"""Batched link pipeline equivalence tests.
 
-The batched pipeline (``Link._serve_burst`` + ``Simulator.post_batch``)
-must be *unobservable*: identical delivery streams (time, subflow
-sequence number, DSN), identical RNG consumption, identical stats,
-against the legacy scalar per-packet pipeline selected by
-``REPRO_SCALAR=1``.  A hypothesis property drives both pipelines
-through random bursts, loss, jitter, ARQ and rate modulation.
+On a single link the batched pipeline (``Link._serve_burst`` +
+``Simulator.post_batch``) must be *unobservable*: identical delivery
+streams (time, subflow sequence number, DSN), identical RNG
+consumption, identical stats, against the per-packet pipeline a link
+runs after ``disable_batching()``.  A hypothesis property drives both
+pipelines through random bursts, loss, jitter, ARQ and rate modulation.
+
+Across links the guarantee is weaker, and pinned here as an expected
+failure: with two subflows per interface (MP-4) the two pipelines order
+same-instant packets of sibling subflows differently on the wire.
 
 Also here: the regression test for the hoisted no-modulation check
 (satellite): unmodulated links must never enter the AR(1) stepping
 code on the per-packet path.
 """
 
-import os
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.options import DssMapping, MptcpOptions
+from repro.experiments.config import FlowSpec
+from repro.experiments.runner import Measurement
 from repro.netsim.link import ArqConfig, Link, LinkConfig, RateModulation
 from repro.netsim.packet import Packet
 from repro.sim.engine import Simulator
@@ -78,53 +84,48 @@ def test_modulated_link_still_steps_per_service_start():
 
 
 # ----------------------------------------------------------------------
-# Batched vs REPRO_SCALAR=1 equivalence (hypothesis property)
+# Batched vs per-packet equivalence on one link (hypothesis property)
 # ----------------------------------------------------------------------
 
 def _drive(bursts, loss_rate, jitter, use_arq, modulated, seed,
-           scalar):
+           per_packet):
     """Run one burst schedule through a link; return the delivery
     stream as exact (time, seq, dsn) triples plus RNG state and stats.
 
-    ``scalar=True`` builds the link under ``REPRO_SCALAR=1``, selecting
-    the legacy per-packet pipeline at construction time.
+    ``per_packet=True`` pins the link to the per-packet pipeline with
+    ``disable_batching()`` before any traffic.
     """
-    if scalar:
-        os.environ["REPRO_SCALAR"] = "1"
-    try:
-        sim = Simulator()
-        config = LinkConfig(
-            rate_bps=4e6, prop_delay=0.005, buffer_bytes=200_000,
-            loss_rate=loss_rate, jitter_mean=jitter,
-            arq=ArqConfig(error_rate=0.1, recovery_min=0.002,
-                          recovery_max=0.01,
-                          residual_loss=0.2) if use_arq else None,
-            modulation=RateModulation(sigma=0.05, interval=0.01)
-            if modulated else None)
-        link = Link(sim, config, random.Random(seed))
-        assert link._vectorized is not scalar
+    sim = Simulator()
+    config = LinkConfig(
+        rate_bps=4e6, prop_delay=0.005, buffer_bytes=200_000,
+        loss_rate=loss_rate, jitter_mean=jitter,
+        arq=ArqConfig(error_rate=0.1, recovery_min=0.002,
+                      recovery_max=0.01,
+                      residual_loss=0.2) if use_arq else None,
+        modulation=RateModulation(sigma=0.05, interval=0.01)
+        if modulated else None)
+    link = Link(sim, config, random.Random(seed))
+    assert link._vectorized
+    if per_packet:
+        link.disable_batching()
 
-        stream = []
+    stream = []
 
-        def deliver(packet):
-            segment = packet.segment
-            stream.append((sim.now, segment.seq,
-                           segment.options.dss.dsn))
+    def deliver(packet):
+        segment = packet.segment
+        stream.append((sim.now, segment.seq, segment.options.dss.dsn))
 
-        link.deliver = deliver
-        at = 0.0
-        for index, (gap, size) in enumerate(bursts):
-            at += gap * 0.0004
-            options = MptcpOptions(dss=DssMapping(
-                dsn=100_000 + 2 * index, ssn=index, length=size))
-            segment = Segment(src_port=1, dst_port=2, seq=index,
-                              payload_len=size, options=options)
-            sim.schedule(at, link.send, Packet("a", "b", segment))
-        sim.run()
-        return stream, link.rng.random(), link.stats
-    finally:
-        if scalar:
-            del os.environ["REPRO_SCALAR"]
+    link.deliver = deliver
+    at = 0.0
+    for index, (gap, size) in enumerate(bursts):
+        at += gap * 0.0004
+        options = MptcpOptions(dss=DssMapping(
+            dsn=100_000 + 2 * index, ssn=index, length=size))
+        segment = Segment(src_port=1, dst_port=2, seq=index,
+                          payload_len=size, options=options)
+        sim.schedule(at, link.send, Packet("a", "b", segment))
+    sim.run()
+    return stream, link.rng.random(), link.stats
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,22 +141,67 @@ def _drive(bursts, loss_rate, jitter, use_arq, modulated, seed,
 )
 def test_batched_pipeline_matches_scalar(bursts, loss_rate, jitter,
                                          use_arq, modulated, seed):
-    """Satellite: batched and REPRO_SCALAR=1 runs produce bit-equal
+    """Batched and per-packet runs of one link produce bit-equal
     (time, seq, dsn) delivery streams, RNG states and stats across
     random bursts, losses, jitter, ARQ and modulation."""
     batched = _drive(bursts, loss_rate, jitter, use_arq, modulated,
-                     seed, scalar=False)
+                     seed, per_packet=False)
     legacy = _drive(bursts, loss_rate, jitter, use_arq, modulated,
-                    seed, scalar=True)
+                    seed, per_packet=True)
     assert batched[0] == legacy[0]
     assert batched[1] == legacy[1]
     assert batched[2] == legacy[2]
 
 
-def test_numpy_clean_link_path_matches_scalar():
-    """The RNG-free numpy path (>= 16 queued packets, no loss, no
-    jitter, no ARQ, no modulation) must also be float-exact."""
+def test_long_clean_burst_matches_per_packet():
+    """A deep burst on an RNG-free link (no loss, jitter, ARQ or
+    modulation) accumulates 40 service times in sequence; the sums
+    must be float-exact against the per-packet event chain."""
     bursts = [(0, 1448)] * 40  # one instant: a 40-deep burst
-    batched = _drive(bursts, 0.0, 0.0, False, False, 11, scalar=False)
-    legacy = _drive(bursts, 0.0, 0.0, False, False, 11, scalar=True)
+    batched = _drive(bursts, 0.0, 0.0, False, False, 11,
+                     per_packet=False)
+    legacy = _drive(bursts, 0.0, 0.0, False, False, 11, per_packet=True)
     assert batched == legacy
+
+
+# ----------------------------------------------------------------------
+# Across links: what is *not* guaranteed
+# ----------------------------------------------------------------------
+
+def _cell(paths, per_packet):
+    """(download_time, WiFi RTT samples) of one 1 MiB MPTCP cell."""
+    with pytest.MonkeyPatch.context() as patch:
+        if per_packet:
+            patch.setattr("repro.netsim.link._BATCH_MIN", 10 ** 9)
+        result = Measurement(FlowSpec.mptcp("att", "coupled", paths),
+                             1 << 20, seed=1).run()
+    return result.download_time, result.metrics.rtt_samples("wifi")
+
+
+@pytest.fixture(scope="module")
+def mp4_batched_and_per_packet():
+    return _cell(4, per_packet=False), _cell(4, per_packet=True)
+
+
+def test_mp2_campaign_cell_is_identical_without_batching():
+    """One subflow per interface: every link carries a single stream,
+    so the single-link guarantee above carries to the whole cell."""
+    assert _cell(2, per_packet=False) == _cell(2, per_packet=True)
+
+
+def test_mp4_download_time_is_identical_without_batching(
+        mp4_batched_and_per_packet):
+    batched, per_packet = mp4_batched_and_per_packet
+    assert batched[0] == per_packet[0]
+    assert len(batched[1]) == len(per_packet[1])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "MP-4: two same-instant packets of sibling subflows swap on the "
+    "wire between batched and per-packet link service (18 of 489 WiFi "
+    "RTT samples differ, same sum); the oracle pins the batched "
+    "ordering.  Open question under ROADMAP item 3."))
+def test_mp4_rtt_samples_are_identical_without_batching(
+        mp4_batched_and_per_packet):
+    batched, per_packet = mp4_batched_and_per_packet
+    assert batched[1] == per_packet[1]

@@ -194,14 +194,14 @@ class StubDelegate:
         return self.next_dsn < self.total
 
 
-def test_delegate_mode_pulls_and_maps():
+def run_delegate_transfer(server_delegate, client_delegate):
+    """Connect a delegate-mode pair over a clean mininet and run 10 s;
+    returns the client endpoint."""
     from repro.core.coupling import RenoController
     from repro.tcp.endpoint import TcpListener
 
     net = build_mininet()
     config = TcpConfig()
-    server_delegate = StubDelegate(total=50_000)
-    client_delegate = StubDelegate(total=0)
 
     def accept(packet, host):
         segment = packet.segment
@@ -217,8 +217,16 @@ def test_delegate_mode_pulls_and_maps():
                          net.client.ephemeral_port(), "server.eth0",
                          80, config, RenoController(),
                          delegate=client_delegate)
+    assert client._in_try_send is False  # set by __init__, not getattr
     client.connect()
     net.run(until=10.0)
+    return client
+
+
+def test_delegate_mode_pulls_and_maps():
+    server_delegate = StubDelegate(total=50_000)
+    client_delegate = StubDelegate(total=0)
+    run_delegate_transfer(server_delegate, client_delegate)
     # All 50 KB pulled, transmitted with mappings, and delivered in
     # SSN order with the mapping metadata intact.
     assert server_delegate.next_dsn == 50_000
@@ -238,3 +246,29 @@ def test_delegate_send_rejected():
                            delegate=StubDelegate(0))
     with pytest.raises(RuntimeError):
         endpoint.send(100)
+
+
+def test_try_send_reentered_from_pull_data_does_not_nest():
+    """A scheduler pump re-enters ``_try_send`` from inside
+    ``pull_data``; the inner call must return at the guard and leave
+    the outer loop to send the data, exactly once and in order."""
+
+    class PumpingDelegate(StubDelegate):
+        depth = 0
+        max_depth = 0
+
+        def pull_data(self, ep, max_bytes):
+            self.depth += 1
+            self.max_depth = max(self.max_depth, self.depth)
+            ep._try_send()
+            self.depth -= 1
+            return super().pull_data(ep, max_bytes)
+
+    server_delegate = PumpingDelegate(50_000)
+    client_delegate = StubDelegate(0)
+    client = run_delegate_transfer(server_delegate, client_delegate)
+    assert server_delegate.max_depth == 1
+    assert client._in_try_send is False
+    assert client_delegate.received == sorted(client_delegate.received)
+    assert sum(end - start
+               for start, end in client_delegate.received) == 50_000

@@ -1,10 +1,25 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import _artifacts, _build_campaign, main
 from repro.experiments import scenarios
 from repro.wireless.profiles import TimeOfDay
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    """numpy is bench tooling only: no ``repro`` command pays for it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import repro.cli, sys; assert 'numpy' not in sys.modules"],
+        check=True, env=env)
 
 
 def test_list_prints_every_artifact(capsys):
