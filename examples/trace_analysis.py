@@ -29,8 +29,8 @@ SIZE = 2 * MB
 
 def main():
     testbed = Testbed(TestbedConfig(carrier="att", seed=12))
-    server_capture = PacketCapture(testbed.server)
-    client_capture = PacketCapture(testbed.client)
+    server_capture = PacketCapture(testbed.server, keep_records=True)
+    client_capture = PacketCapture(testbed.client, keep_records=True)
     config = MptcpConfig()
     server_side = {}
 

@@ -25,7 +25,7 @@ reassembled by plan position — so the cost model only has to be
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Heuristic constants, loosely calibrated against the vectorized
 #: packet core on the development machine (a 2 MB SP-WiFi run ~0.11 s,
@@ -167,7 +167,7 @@ def chunk_positions(order: Sequence[int], plan: Sequence,
 
 
 def build_tasks(pending: Sequence[int], plan: Sequence,
-                model: CostModel, dispatch: str, chunk: int,
+                model: CostModel, chunk: int,
                 workers: int) -> List[List[int]]:
     """The full dispatch pipeline: order, cap the chunk size, batch.
 
@@ -175,14 +175,7 @@ def build_tasks(pending: Sequence[int], plan: Sequence,
     with few pending cells a large ``--chunk`` would otherwise fuse
     the whole campaign into fewer tasks than there are workers.
     """
-    if dispatch == "ljf":
-        order: Union[List[int], Sequence[int]] = \
-            order_longest_first(pending, plan, model)
-    elif dispatch == "plan":
-        order = list(pending)
-    else:
-        raise ValueError(f"unknown dispatch policy {dispatch!r}; "
-                         f"expected 'ljf' or 'plan'")
+    order = order_longest_first(pending, plan, model)
     if workers > 0:
         chunk = min(chunk, max(1, len(pending) // workers))
     return chunk_positions(order, plan, model, chunk)

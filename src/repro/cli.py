@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.experiments.report import render_table, write_csv
 from repro.experiments.runner import Campaign, CampaignSpec, RunResult
 from repro.experiments import scenarios
-from repro.trace.capture import CaptureLevel
 from repro.wireless.profiles import TimeOfDay
 
 RowBuilder = Callable[[List[RunResult]], Tuple[List[str], List[List[str]]]]
@@ -217,7 +216,6 @@ def _run_artifact(artifact: Artifact, args: argparse.Namespace,
     hits_before = cache.hits if cache is not None else 0
     campaign = Campaign(spec, progress=progress, jobs=args.jobs,
                         journal=args.resume,
-                        capture_level=args.capture,
                         trace=args.trace, trace_dir=trace_dir,
                         run_log=run_log, heartbeat_dir=heartbeat_dir,
                         instrumentation=instrumentation,
@@ -325,7 +323,6 @@ def _run_report(args: argparse.Namespace, cache=None,
     started = time.time()
     run_log = str(out_dir / "run_log.jsonl")
     campaign = Campaign(spec, jobs=args.jobs, journal=args.resume,
-                        capture_level=args.capture,
                         trace=args.trace,
                         trace_dir=(str(out_dir) if args.trace != "off"
                                    else None),
@@ -555,14 +552,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
                         help="render ASCII box plots / CCDF charts")
     parser.add_argument("--save", metavar="FILE",
                         help="append raw results as JSON lines to FILE")
-    parser.add_argument("--capture",
-                        choices=[level.value for level in CaptureLevel],
-                        default=CaptureLevel.METRICS_ONLY.value,
-                        help="per-packet capture retention: metrics-only "
-                             "(default; streams per-flow counters), "
-                             "headers (PacketRecords without option "
-                             "introspection), or full (everything, "
-                             "needed for mptcptrace-style analysis)")
     parser.add_argument("--profile", metavar="FILE",
                         help="run under cProfile and dump pstats "
                              "data to FILE (printed top functions, "

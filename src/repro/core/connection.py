@@ -946,8 +946,21 @@ class MptcpListener:
         connection.accept_subflow(packet, is_initial=True)
 
     def _accept_capable(self, packet: Packet, options: MptcpOptions) -> None:
-        if options.token in self.connections:
-            return  # duplicate SYN; the endpoint will re-answer it
+        connection = self.connections.get(options.token)
+        if connection is not None:
+            # A retransmitted SYN never gets here (the host demux hands
+            # it to the half-open endpoint bound to its 4-tuple): this
+            # is the client re-opening the initial subflow from a new
+            # port after its first attempt died before our SYN-ACK got
+            # through, so the new SYN supersedes the half-open one.
+            # Once established the client only ever joins, and an
+            # MP_CAPABLE can only be a stale duplicate.
+            if connection.established_at is None:
+                for subflow in connection.subflows:
+                    if subflow.is_initial:
+                        connection.kill_subflow(subflow)
+                connection.accept_subflow(packet, is_initial=True)
+            return
         connection = MptcpConnection(
             self.sim, self.host, "server", packet.segment.src_port,
             self.config, token=options.token,

@@ -649,6 +649,8 @@ def _execute_chunk(sock, lease_id: int, label: str,
         else:
             pending.append((position, descriptor))
 
+    #: The cell whose run is being awaited: what a failure is blamed on.
+    position: Optional[int] = None
     try:
         if jobs > 1 and len(pending) > 1:
             from concurrent.futures import ProcessPoolExecutor, \
@@ -683,7 +685,6 @@ def _execute_chunk(sock, lease_id: int, label: str,
     except ProtocolError:
         raise
     except BaseException as error:
-        position = pending[0][0] if pending else None
         print(f"[worker {label}] cell failed: {error!r}",
               file=stream, flush=True)
         try:
@@ -782,7 +783,7 @@ def execute_distributed(plan: Sequence, pending: Sequence[int], *,
                         is_filled: Callable[[int], bool],
                         finish: Callable[[int, object], None],
                         observe: Optional[Callable] = None,
-                        cost_model=None, dispatch: str = "ljf",
+                        cost_model=None,
                         chunk: int = 1, jobs: int = 2,
                         backend: str = "subprocess",
                         hosts: Optional[Sequence[str]] = None,
@@ -812,11 +813,8 @@ def execute_distributed(plan: Sequence, pending: Sequence[int], *,
     from repro.cache import CostModel, build_tasks
     if cost_model is None:
         cost_model = CostModel()
-    slots = (len(hosts) if backend == "ssh"
-             else max(1, jobs) if backend == "subprocess" else
-             max(1, jobs))
-    tasks = build_tasks(list(pending), plan, cost_model, dispatch,
-                        chunk, slots)
+    slots = len(hosts) if backend == "ssh" else max(1, jobs)
+    tasks = build_tasks(list(pending), plan, cost_model, chunk, slots)
 
     def observe_position(position: int, wall_s: float) -> None:
         if observe is not None:

@@ -31,7 +31,7 @@ Dispatch is cost-aware: pending cells are submitted longest-job-first
 falling back to a size x config heuristic) so the pool never ends
 tail-bound on a straggler, tiny cells are batched into chunks to
 amortize pickling/IPC overhead, and submission is streamed through a
-bounded in-flight window (``jobs x window`` futures) instead of
+bounded in-flight window (``jobs x _WINDOW`` futures) instead of
 materializing every pickled descriptor and future upfront.
 """
 
@@ -55,6 +55,10 @@ ProgressFn = Callable[[int, int, RunResult], None]
 #: Pool construction hook; tests swap in an instrumented executor to
 #: assert submission-window bounds without real worker processes.
 _pool_factory = ProcessPoolExecutor
+
+#: Submitted-but-unfinished tasks allowed per worker: one running, one
+#: queued behind it so a worker never idles waiting on the parent.
+_WINDOW = 2
 
 
 def default_jobs() -> int:
@@ -196,9 +200,7 @@ def execute_plan(plan: Sequence[RunDescriptor],
                  instrumentation=None,
                  cache=None,
                  cost_model=None,
-                 dispatch: str = "ljf",
                  chunk: int = 1,
-                 window: int = 2,
                  backend: str = "pool",
                  hosts: Optional[Sequence[str]] = None,
                  bind: str = "127.0.0.1:0",
@@ -221,13 +223,12 @@ def execute_plan(plan: Sequence[RunDescriptor],
     store).  The returned list is always in plan order, bit-identical
     to serial execution regardless of any of these knobs.
 
-    Dispatch under ``jobs > 1`` is cost-aware: ``dispatch`` picks the
-    submission order ("ljf" longest-job-first, or "plan"),
-    ``cost_model`` (a :class:`repro.cache.CostModel`; default:
-    calibrated from ``run_log`` if one exists) supplies the estimates,
-    ``chunk`` > 1 batches tiny cells into one task, and at most
-    ``jobs x window`` submitted tasks are in flight at once — the rest
-    of the plan stays unsubmitted until a slot frees, capping
+    Dispatch under ``jobs > 1`` is cost-aware: cells are submitted
+    longest-job-first, ``cost_model`` (a :class:`repro.cache.CostModel`;
+    default: calibrated from ``run_log`` if one exists) supplies the
+    estimates, ``chunk`` > 1 batches tiny cells into one task, and at
+    most ``jobs x _WINDOW`` submitted tasks are in flight at once — the
+    rest of the plan stays unsubmitted until a slot frees, capping
     parent-side memory.
 
     ``run_log`` (a path) streams start/finish/fail records for every
@@ -314,7 +315,7 @@ def execute_plan(plan: Sequence[RunDescriptor],
                     finish=finish,
                     observe=lambda position, wall:
                         cost_model.observe(plan[position], wall),
-                    cost_model=cost_model, dispatch=dispatch,
+                    cost_model=cost_model,
                     chunk=chunk, jobs=jobs, backend=backend,
                     hosts=hosts, bind=bind, advertise=advertise,
                     lease_timeout=lease_timeout,
@@ -341,8 +342,8 @@ def execute_plan(plan: Sequence[RunDescriptor],
             from repro.cache import build_tasks
             workers = min(jobs, len(pending))
             tasks = deque(build_tasks(pending, plan, cost_model,
-                                      dispatch, chunk, workers))
-            max_inflight = workers * max(1, window)
+                                      chunk, workers))
+            max_inflight = workers * _WINDOW
             inflight: Dict[object, List[int]] = {}
             entry = (execute_chunk_ex if telemetered else execute_chunk)
             pool_kwargs = {}

@@ -132,7 +132,6 @@ def descriptor_to_dict(descriptor: RunDescriptor) -> dict:
         "seed": descriptor.seed,
         "period": descriptor.period.value,
         "timeout": descriptor.timeout,
-        "capture_level": descriptor.capture_level,
         "trace": descriptor.trace,
         "trace_dir": descriptor.trace_dir,
         "metrics": descriptor.metrics,
@@ -148,7 +147,6 @@ def descriptor_from_dict(data: dict) -> RunDescriptor:
         seed=data["seed"],
         period=TimeOfDay(data["period"]),
         timeout=data.get("timeout"),
-        capture_level=data.get("capture_level", "metrics-only"),
         trace=data.get("trace", "off"),
         trace_dir=data.get("trace_dir"),
         metrics=data.get("metrics", "off"),

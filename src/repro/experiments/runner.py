@@ -26,7 +26,7 @@ from repro.experiments.config import FlowSpec
 from repro.perf import NULL_INSTRUMENTATION
 from repro.sim.rng import derive_seed
 from repro.testbed import Testbed, TestbedConfig
-from repro.trace.capture import CaptureLevel, PacketCapture
+from repro.trace.capture import PacketCapture
 from repro.trace.metrics import ConnectionMetrics, connection_metrics
 from repro.wireless.profiles import TimeOfDay
 
@@ -92,9 +92,7 @@ class Measurement:
                  period: TimeOfDay = TimeOfDay.AFTERNOON,
                  timeout: Optional[float] = None,
                  wifi_profile=None, cell_profile=None,
-                 capture_level=CaptureLevel.METRICS_ONLY,
                  trace: str = "off", trace_path: Optional[str] = None,
-                 trace_ring: int = 4096,
                  metrics: str = "off") -> None:
         self.spec = spec
         self.size = size
@@ -103,11 +101,6 @@ class Measurement:
         self.timeout = timeout
         self.wifi_profile = wifi_profile
         self.cell_profile = cell_profile
-        #: Capture fidelity for this run.  Campaigns only read the
-        #: aggregate :class:`ConnectionMetrics`, so the default streams
-        #: metrics without materializing per-packet records; pass
-        #: ``"full"`` to keep the captures for DSS-level analysis.
-        self.capture_level = CaptureLevel.coerce(capture_level)
         #: Protocol-event tracing mode: ``"off"`` (the null bus, free),
         #: ``"ring"`` (in-memory flight recorder, dumped to
         #: ``trace_path`` when the run raises), or ``"jsonl"`` (stream
@@ -115,7 +108,6 @@ class Measurement:
         #: metrics and the simulation are byte-identical in all modes.
         self.trace = trace
         self.trace_path = trace_path
-        self.trace_ring = trace_ring
         #: Metrics mode: ``"off"`` (the null registry, free) or
         #: ``"on"`` (aggregate counters/histograms, snapshotted onto
         #: :attr:`RunResult.obs_metrics`).  Passive, like tracing.
@@ -140,12 +132,10 @@ class Measurement:
                 cell_profile=cell_profile))
             trace_bus = self._install_trace(testbed)
             metrics_registry = self._install_metrics(testbed)
-            server_capture = PacketCapture(testbed.server,
-                                           level=self.capture_level)
+            server_capture = PacketCapture(testbed.server)
             # The client side only feeds download time and per-path
             # byte shares, never sender-side flow analysis.
             client_capture = PacketCapture(testbed.client,
-                                           level=self.capture_level,
                                            analyze_senders=False)
             self._install_middlebox(testbed)
 
@@ -245,8 +235,7 @@ class Measurement:
             return None
         from repro.obs.bus import make_trace_bus
         path = self.trace_path if self.trace == "jsonl" else None
-        bus = make_trace_bus(self.trace, path=path,
-                             ring_size=self.trace_ring)
+        bus = make_trace_bus(self.trace, path=path)
         testbed.sim.trace = bus
         self.trace_bus = bus
         return bus
@@ -448,13 +437,11 @@ class RunDescriptor:
     wifi_profile: Optional[object] = None
     cell_profile: Optional[object] = None
     timeout: Optional[float] = None
-    #: Capture fidelity (a :class:`CaptureLevel` value string, kept as
-    #: a plain string so descriptors stay trivially picklable).
-    capture_level: str = CaptureLevel.METRICS_ONLY.value
     #: Protocol-event tracing mode (``off`` / ``ring`` / ``jsonl``) and
-    #: the directory per-run trace files land in.  Strings, for the
-    #: same picklability reason; they do not enter :attr:`key`, so
-    #: traced and untraced campaigns share journal entries and seeds.
+    #: the directory per-run trace files land in.  Plain strings, so
+    #: descriptors stay trivially picklable; they do not enter
+    #: :attr:`key`, so traced and untraced campaigns share journal
+    #: entries and seeds.
     trace: str = "off"
     trace_dir: Optional[str] = None
     #: Metrics mode (``off`` / ``on``); excluded from :attr:`key` like
@@ -481,7 +468,6 @@ class RunDescriptor:
                                   timeout=self.timeout,
                                   wifi_profile=self.wifi_profile,
                                   cell_profile=self.cell_profile,
-                                  capture_level=self.capture_level,
                                   trace=self.trace,
                                   trace_path=self.trace_path(),
                                   metrics=self.metrics)
@@ -521,15 +507,12 @@ class Campaign:
 
     def __init__(self, spec: CampaignSpec, progress=None,
                  jobs: int = 1, journal=None,
-                 capture_level=CaptureLevel.METRICS_ONLY,
                  trace: str = "off", trace_dir: Optional[str] = None,
                  metrics: str = "off",
                  run_log: Optional[str] = None,
                  heartbeat_dir: Optional[str] = None,
                  instrumentation=None,
-                 cache=None, cost_model=None,
-                 dispatch: str = "ljf", chunk: int = 1,
-                 window: int = 2,
+                 cache=None, cost_model=None, chunk: int = 1,
                  backend: str = "pool",
                  hosts: Optional[Tuple[str, ...]] = None,
                  bind: str = "127.0.0.1:0",
@@ -544,14 +527,11 @@ class Campaign:
         #: :class:`repro.cache.RunCache`); cells already stored there
         #: are restored instead of recomputed, across campaigns.
         self.cache = cache
-        #: Dispatch policy under ``jobs > 1``: cost model, submission
-        #: order ("ljf" or "plan"), tiny-cell chunk size and the
-        #: bounded in-flight submission window.  None of these can
-        #: change a single result byte — only wall-clock.
+        #: Dispatch under ``jobs > 1``: the cost model that ranks
+        #: cells longest-job-first and the tiny-cell chunk size.
+        #: Neither can change a single result byte — only wall-clock.
         self.cost_model = cost_model
-        self.dispatch = dispatch
         self.chunk = chunk
-        self.window = window
         #: Execution backend: ``"pool"`` (single-host process pool) or
         #: a distributed backend (``"subprocess"`` / ``"ssh"`` /
         #: ``"tcp"``) where a TCP coordinator leases cells to ``repro
@@ -563,10 +543,6 @@ class Campaign:
         self.advertise = advertise
         self.lease_timeout = lease_timeout
         self.worker_cache = worker_cache
-        #: Campaigns only consume aggregate metrics, so the cheapest
-        #: capture level is the default; raise it to ``"full"`` when
-        #: per-packet records are wanted for post-hoc analysis.
-        self.capture_level = CaptureLevel.coerce(capture_level)
         #: Observability plumbing (all optional, all passive): per-run
         #: protocol traces, the campaign run log, worker heartbeats for
         #: ``--progress``, and the parent :class:`Instrumentation` that
@@ -606,7 +582,6 @@ class Campaign:
                     descriptors.append(RunDescriptor(
                         index=len(descriptors), spec=flow, size=size,
                         seed=seed, period=period,
-                        capture_level=self.capture_level.value,
                         trace=self.trace, trace_dir=self.trace_dir,
                         metrics=self.metrics))
         return descriptors
@@ -621,9 +596,7 @@ class Campaign:
                                     instrumentation=self.instrumentation,
                                     cache=self.cache,
                                     cost_model=self.cost_model,
-                                    dispatch=self.dispatch,
                                     chunk=self.chunk,
-                                    window=self.window,
                                     backend=self.backend,
                                     hosts=self.hosts,
                                     bind=self.bind,

@@ -49,7 +49,7 @@ def validate_transfer(spec: FlowSpec = None, size: int = 1024 * 1024,
         carrier=spec.carrier, wifi=spec.wifi,
         server_interfaces=spec.server_interfaces, seed=seed))
     server_capture = PacketCapture(testbed.server)
-    client_capture = PacketCapture(testbed.client)
+    client_capture = PacketCapture(testbed.client, analyze_senders=False)
     config = spec.mptcp_config()
     server_side = {}
 

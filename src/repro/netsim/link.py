@@ -116,14 +116,6 @@ class Link:
     recovery before being handed to ``deliver``.
     """
 
-    #: Route per-packet events through :meth:`Simulator.post` /
-    #: :meth:`Simulator.post_at` (no closure, no Event object) instead
-    #: of the legacy ``schedule(..., lambda: ...)`` form.  Both paths
-    #: consume one engine sequence number per packet per hop, so flipping
-    #: this flag changes allocation behaviour only -- results are
-    #: byte-identical (the determinism guard test asserts this).
-    use_fast_scheduling = True
-
     def __init__(self, sim: Simulator, config: LinkConfig,
                  rng: random.Random, name: str = "link") -> None:
         self.sim = sim
@@ -356,20 +348,14 @@ class Link:
             self._busy = False
             return
         self._busy = True
-        if (self._vectorized and len(queue) >= _BATCH_MIN
-                and self.use_fast_scheduling):
+        if self._vectorized and len(queue) >= _BATCH_MIN:
             self._serve_burst()
             return
         packet = queue.popleft()
         size = packet.wire_size
         self._queue_bytes -= size
         service_time = size * 8.0 / self.current_rate()
-        if self.use_fast_scheduling:
-            self.sim.post(service_time, self._service_done, packet)
-        else:
-            self.sim.schedule(service_time,
-                              lambda: self._service_done(packet),
-                              name=f"{self.name}.service")
+        self.sim.post(service_time, self._service_done, packet)
 
     def _serve_burst(self) -> None:
         """Serve the whole queue as one precomputed burst.
@@ -547,12 +533,7 @@ class Link:
             delivery_time = self._last_delivery_time
         else:
             self._last_delivery_time = delivery_time
-        if self.use_fast_scheduling:
-            self.sim.post_at(delivery_time, self.deliver, packet)
-        else:
-            self.sim.schedule_at(delivery_time,
-                                 lambda: self.deliver(packet),
-                                 name=f"{self.name}.deliver")
+        self.sim.post_at(delivery_time, self.deliver, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Link {self.name} rate={self.config.rate_bps / 1e6:.1f}Mbps "

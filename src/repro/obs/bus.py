@@ -332,8 +332,7 @@ def read_jsonl(path: str) -> List[TraceEvent]:
     return events
 
 
-def make_trace_bus(mode: str, path: Optional[str] = None,
-                   ring_size: int = 4096):
+def make_trace_bus(mode: str, path: Optional[str] = None):
     """Build a bus for a CLI/runner trace mode.
 
     ``"off"`` returns :data:`NULL_TRACE_BUS`; ``"ring"`` a bus with a
@@ -343,7 +342,7 @@ def make_trace_bus(mode: str, path: Optional[str] = None,
     if mode == "off":
         return NULL_TRACE_BUS
     if mode == "ring":
-        return TraceBus(RingSink(maxlen=ring_size))
+        return TraceBus(RingSink())
     if mode == "jsonl":
         if not path:
             raise ValueError("trace mode 'jsonl' requires a path")

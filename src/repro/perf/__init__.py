@@ -9,9 +9,8 @@ This subpackage exists so the hot-path optimizations stay measurable:
   a :mod:`cProfile`/pstats dump, surfaced as the CLI ``--profile``
   flag.
 
-The benchmark suite in ``benchmarks/bench_perf_engine.py`` and
-``bench_perf_campaign.py`` builds on these and records its numbers in
-``benchmarks/output/BENCH_PERF.json`` (see ``docs/performance.md``).
+Wall clock is measured by ``perfbench/`` at the repository root (see
+``docs/performance.md``).
 """
 
 from repro.perf.instrumentation import (

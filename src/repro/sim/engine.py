@@ -29,8 +29,8 @@ scheduled for the same instant fire in the order they were scheduled),
 which keeps simulations deterministic and therefore reproducible and
 testable.  Every scheduling primitive -- ``schedule``, ``schedule_at``,
 ``post``, ``post_at`` and ``reschedule`` -- consumes exactly one
-sequence number, so swapping one primitive for another (e.g. the
-closure-based legacy path for the arg-carrying fast path) leaves the
+sequence number, so swapping one primitive for another (e.g. a
+closure-carrying ``schedule`` for an arg-carrying ``post``) leaves the
 event order, and therefore simulation results, bit-for-bit identical.
 
 Cancellation is lazy: the entry stays in the heap but is skipped when

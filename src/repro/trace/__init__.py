@@ -5,19 +5,20 @@ the client and analyzes them with tcptrace (Section 3.2).  We do the
 same:
 
 * :mod:`repro.trace.capture` -- :class:`PacketCapture` attaches to a
-  host and records a :class:`PacketRecord` for every packet sent or
-  received, including the MPTCP DSS fields.
+  host and streams every packet sent or received through per-flow
+  analysis state; with ``keep_records=True`` it also stores a
+  :class:`PacketRecord` per packet, including the MPTCP DSS fields.
 * :mod:`repro.trace.analyzer` -- per-flow analysis implementing the
   Section 3.3 metric definitions: RTT samples (data packet to covering
   ACK, retransmissions excluded), loss rate (retransmitted / sent data
-  packets), throughput and duration.
+  packets), throughput and duration.  One algorithm, fed live by the
+  capture or replayed from stored records.
 * :mod:`repro.trace.metrics` -- connection-level roll-ups: download
   time from the client capture, per-path traffic shares, and joins of
   subflow analyses into the per-configuration rows the tables need.
 """
 
 from repro.trace.capture import (
-    CaptureLevel,
     CaptureSummary,
     PacketCapture,
     PacketRecord,
@@ -34,7 +35,6 @@ from repro.trace.mptcptrace import MptcpTraceAnalysis, analyze_mptcp
 from repro.trace.timeseries import Series, TimeSeriesProbe
 
 __all__ = [
-    "CaptureLevel",
     "CaptureSummary",
     "PacketCapture",
     "PacketRecord",

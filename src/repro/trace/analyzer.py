@@ -18,9 +18,10 @@ Both are computed per subflow (per TCP 4-tuple), matching the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.trace.capture import FlowKey, PacketCapture, PacketRecord
+from repro.trace.capture import FlowKey, PacketCapture, PacketRecord, \
+    _FlowStream
 
 
 @dataclass
@@ -84,66 +85,31 @@ def analyze_flow(records: Iterable[PacketRecord], local_addr: str,
 
     ``records`` is the (time-ordered) capture slice for one flow, taken
     at the sending host: its outgoing data packets have
-    ``direction == "send"`` and its incoming ACKs ``"recv"``.
+    ``direction == "send"`` and its incoming ACKs ``"recv"``.  The
+    records are replayed through the same per-flow stream a live
+    :class:`PacketCapture` feeds, so stored and live traffic share one
+    implementation of the metric definitions above.
     """
-    sent_starts: Set[int] = set()
-    rexmitted_seqs: Set[int] = set()
-    #: Unmatched first transmissions awaiting a covering ACK:
-    #: seq -> (end_seq, send_time).
-    pending: Dict[int, Tuple[int, float]] = {}
-    analysis: Optional[FlowAnalysis] = None
-    samples_by_seq: Dict[int, float] = {}
-
+    stream: Optional[_FlowStream] = None
     for record in records:
-        outgoing = record.direction == "send" and record.src == local_addr \
-            and (local_port is None or record.src_port == local_port)
-        incoming = record.direction == "recv" and record.dst == local_addr \
-            and (local_port is None or record.dst_port == local_port)
-        if outgoing:
-            if analysis is None:
-                analysis = FlowAnalysis(
-                    local=(record.src, record.src_port),
-                    remote=(record.dst, record.dst_port))
-            if analysis.first_packet_time is None:
-                analysis.first_packet_time = record.time
-            analysis.last_packet_time = record.time
-            if record.syn and not record.ack_flag:
-                analysis.syn_time = record.time
-            if record.payload_len > 0:
-                analysis.data_packets_sent += 1
-                if record.seq in sent_starts:
-                    analysis.retransmitted_packets += 1
-                    rexmitted_seqs.add(record.seq)
-                    pending.pop(record.seq, None)
-                    samples_by_seq.pop(record.seq, None)
-                else:
-                    sent_starts.add(record.seq)
-                    analysis.payload_bytes += record.payload_len
-                    pending[record.seq] = (record.end_seq, record.time)
-        elif incoming:
-            if analysis is None:
-                continue
-            analysis.last_packet_time = record.time
-            if (record.syn and record.ack_flag
-                    and analysis.syn_time is not None
-                    and analysis.handshake_rtt is None):
-                analysis.handshake_rtt = record.time - analysis.syn_time
-            if record.ack_flag and pending:
-                covered = [seq for seq, (end_seq, _) in pending.items()
-                           if record.ack >= end_seq]
-                for seq in covered:
-                    _, send_time = pending.pop(seq)
-                    samples_by_seq[seq] = record.time - send_time
-
-    if analysis is None:
+        if (record.direction == "send" and record.src == local_addr
+                and (local_port is None
+                     or record.src_port == local_port)):
+            if stream is None:
+                stream = _FlowStream((record.src, record.src_port),
+                                     (record.dst, record.dst_port))
+            stream.on_send(record.time, record.seq, record.payload_len,
+                           record.syn, record.ack_flag, record.fin)
+        elif (stream is not None and record.direction == "recv"
+                and record.dst == local_addr
+                and (local_port is None
+                     or record.dst_port == local_port)):
+            stream.on_recv(record.time, record.ack, record.syn,
+                           record.ack_flag)
+    if stream is None:
         return FlowAnalysis(local=(local_addr, local_port or 0),
                             remote=("", 0))
-    # Karn's rule as tcptrace applies it: discard samples for sequence
-    # ranges that were (ever) retransmitted.
-    analysis.rtt_samples = [sample for seq, sample in
-                            sorted(samples_by_seq.items())
-                            if seq not in rexmitted_seqs]
-    return analysis
+    return stream.finalize()
 
 
 def analyze_sender(capture: PacketCapture, local_addr_prefix: str = ""

@@ -1,33 +1,23 @@
-"""tcpdump, simulated: per-host packet capture, at three fidelities.
+"""tcpdump, simulated: per-host packet capture.
 
-A :class:`PacketCapture` registers a hook on a host and observes every
-packet it sends or receives.  What it keeps depends on its
-:class:`CaptureLevel`:
+A :class:`PacketCapture` registers a hook on a host and streams every
+packet it sends or receives through two pieces of analysis state: a
+small host summary (first SYN sent, last data received, data bytes per
+local address) and, per flow, a :class:`_FlowStream` -- the tcptrace
+RTT / loss algorithm of :mod:`repro.trace.analyzer`, fed one packet at
+a time.  A campaign run therefore materializes zero per-packet objects.
 
-* ``FULL`` -- one flat :class:`PacketRecord` per packet, including the
-  MPTCP DSS numbers.  Needed by :mod:`repro.trace.mptcptrace` and
-  :mod:`repro.trace.dump`.
-* ``HEADERS`` -- one :class:`PacketRecord` per packet, but without
-  inspecting TCP options (``dsn``/``data_ack``/``mp_*`` read as
-  absent).  Supports every tcptrace-style analysis and metric roll-up,
-  just not DSS-level tooling.
-* ``METRICS_ONLY`` -- no records at all.  The hook streams each packet
-  through per-flow analysis state (an incremental replica of
-  :func:`repro.trace.analyzer.analyze_flow`) plus a small host summary,
-  so a campaign run materializes zero per-packet objects.  The streamed
-  :meth:`flow_analyses` and :attr:`summary` are, by construction,
-  identical to what batch analysis of a full capture would produce --
-  the determinism guard test asserts CSV byte-equality.
-
-Records are plain slotted objects (a capture of a 32 MB transfer holds
-tens of thousands), and carry everything the analyzer needs: header
-fields, SACK presence, and the MPTCP DSS numbers.
+``keep_records=True`` adds a sink on top: one flat
+:class:`PacketRecord` per packet, including the MPTCP DSS numbers,
+for the tools that need the packets themselves
+(:mod:`repro.trace.mptcptrace`, :mod:`repro.trace.dump`).  Records are
+plain slotted objects -- a capture of a 32 MB transfer holds tens of
+thousands.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.netsim.host import Host
 from repro.netsim.packet import Packet
@@ -35,26 +25,6 @@ from repro.netsim.packet import Packet
 #: Canonical flow key: ((addr, port), (addr, port)) with the two
 #: endpoints sorted, so both directions map to the same key.
 FlowKey = Tuple[Tuple[str, int], Tuple[str, int]]
-
-
-class CaptureLevel(enum.Enum):
-    """How much a :class:`PacketCapture` retains per packet."""
-
-    FULL = "full"
-    HEADERS = "headers"
-    METRICS_ONLY = "metrics-only"
-
-    @classmethod
-    def coerce(cls, value: Union["CaptureLevel", str]) -> "CaptureLevel":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            choices = ", ".join(level.value for level in cls)
-            raise ValueError(
-                f"unknown capture level {value!r} (choose from {choices})"
-            ) from None
 
 
 class PacketRecord:
@@ -65,8 +35,8 @@ class PacketRecord:
                  "window", "dsn", "dss_len", "data_ack", "packet_id",
                  "mp_capable", "mp_join")
 
-    def __init__(self, time: float, direction: str, packet: Packet,
-                 with_options: bool = True) -> None:
+    def __init__(self, time: float, direction: str,
+                 packet: Packet) -> None:
         segment = packet.segment
         self.time = time
         self.direction = direction  # "send" or "recv"
@@ -82,7 +52,7 @@ class PacketRecord:
         self.fin = segment.flags.fin
         self.window = segment.window
         self.packet_id = packet.packet_id
-        options = segment.options if with_options else None
+        options = segment.options
         if options is not None and options.dss is not None:
             self.dsn: Optional[int] = options.dss.dsn
             self.dss_len: int = options.dss.length
@@ -110,12 +80,10 @@ class PacketRecord:
 
 
 class CaptureSummary:
-    """Host-level aggregates a metrics-only capture streams.
-
-    Mirrors what :func:`repro.trace.metrics.download_time_from_capture`
-    and :func:`~repro.trace.metrics.bytes_by_client_path` extract from
-    a full client-side capture.
-    """
+    """Host-level aggregates every capture streams: what
+    :func:`repro.trace.metrics.download_time_from_capture` and
+    :func:`~repro.trace.metrics.bytes_by_client_path` read from the
+    client side."""
 
     __slots__ = ("first_syn_sent", "last_data_recv", "recv_bytes_by_dst")
 
@@ -127,25 +95,26 @@ class CaptureSummary:
 
 
 class _FlowStream:
-    """Incremental, per-flow replica of ``analyze_flow``.
+    """tcptrace's per-flow sender analysis, one packet at a time.
 
-    Consumes packets one at a time and reproduces, field for field, the
-    :class:`~repro.trace.analyzer.FlowAnalysis` that the batch analyzer
-    would compute from this flow's full record list.  The flow's
-    *local* (sending) endpoint is fixed by the first outgoing packet,
-    which on a sender-side capture is always the analyzed host.
+    The one implementation of the Section 3.3 loss and RTT definitions
+    (see :mod:`repro.trace.analyzer`): :class:`PacketCapture` feeds it
+    live from the host hook, :func:`~repro.trace.analyzer.analyze_flow`
+    replays stored records through it.  ``local`` is the analyzed
+    (sending) endpoint; incoming packets that precede its first
+    outgoing packet are ignored.
     """
 
     __slots__ = ("local", "remote", "data_packets_sent",
                  "retransmitted_packets", "payload_bytes",
                  "first_packet_time", "last_packet_time", "syn_time",
-                 "handshake_rtt", "started", "has_data",
-                 "sent_starts", "rexmitted_seqs", "pending",
-                 "samples_by_seq")
+                 "handshake_rtt", "sent_starts", "rexmitted_seqs",
+                 "pending", "samples_by_seq")
 
-    def __init__(self) -> None:
-        self.local: Tuple[str, int] = ("", 0)
-        self.remote: Tuple[str, int] = ("", 0)
+    def __init__(self, local: Tuple[str, int],
+                 remote: Tuple[str, int]) -> None:
+        self.local = local
+        self.remote = remote
         self.data_packets_sent = 0
         self.retransmitted_packets = 0
         self.payload_bytes = 0
@@ -153,8 +122,6 @@ class _FlowStream:
         self.last_packet_time: Optional[float] = None
         self.syn_time: Optional[float] = None
         self.handshake_rtt: Optional[float] = None
-        self.started = False       # first outgoing packet seen
-        self.has_data = False      # any outgoing packet with payload
         self.sent_starts: Set[int] = set()
         self.rexmitted_seqs: Set[int] = set()
         #: Unmatched first transmissions awaiting a covering ACK:
@@ -162,22 +129,15 @@ class _FlowStream:
         self.pending: Dict[int, Tuple[int, float]] = {}
         self.samples_by_seq: Dict[int, float] = {}
 
-    def on_send(self, time: float, src: str, src_port: int,
-                dst: str, dst_port: int, segment) -> None:
-        if not self.started:
-            self.started = True
-            self.local = (src, src_port)
-            self.remote = (dst, dst_port)
+    def on_send(self, time: float, seq: int, payload_len: int,
+                syn: bool, ack_flag: bool, fin: bool) -> None:
+        if self.first_packet_time is None:
             self.first_packet_time = time
         self.last_packet_time = time
-        flags = segment.flags
-        if flags.syn and not flags.ack:
+        if syn and not ack_flag:
             self.syn_time = time
-        payload_len = segment.payload_len
         if payload_len > 0:
-            self.has_data = True
             self.data_packets_sent += 1
-            seq = segment.seq
             if seq in self.sent_starts:
                 self.retransmitted_packets += 1
                 self.rexmitted_seqs.add(seq)
@@ -186,26 +146,23 @@ class _FlowStream:
             else:
                 self.sent_starts.add(seq)
                 self.payload_bytes += payload_len
-                end_seq = (seq + payload_len + int(flags.syn)
-                           + int(flags.fin))
+                end_seq = seq + payload_len + int(syn) + int(fin)
                 self.pending[seq] = (end_seq, time)
 
-    def on_recv(self, time: float, segment) -> None:
-        if not self.started:
-            return  # batch analyzer skips leading incoming packets too
+    def on_recv(self, time: float, ack: int, syn: bool,
+                ack_flag: bool) -> None:
+        if self.first_packet_time is None:
+            return
         self.last_packet_time = time
-        flags = segment.flags
-        if (flags.syn and flags.ack and self.syn_time is not None
+        if (syn and ack_flag and self.syn_time is not None
                 and self.handshake_rtt is None):
             self.handshake_rtt = time - self.syn_time
         pending = self.pending
-        if flags.ack and pending:
-            ack = segment.ack
-            # First transmissions enter `pending` at snd_nxt, so both
-            # seq and end_seq are strictly increasing in insertion
+        if ack_flag and pending:
+            # A TCP sender's first transmissions enter `pending` at
+            # snd_nxt, so seq and end_seq both increase in insertion
             # order: the ACK-covered entries are a prefix, and the scan
-            # can stop at the first uncovered one.  (The batch analyzer
-            # scans the whole dict; same membership, same samples.)
+            # stops at the first uncovered one.
             covered = []
             for seq, (end_seq, _) in pending.items():
                 if ack < end_seq:
@@ -231,7 +188,8 @@ class _FlowStream:
         analysis.last_packet_time = self.last_packet_time
         analysis.syn_time = self.syn_time
         analysis.handshake_rtt = self.handshake_rtt
-        # Karn's rule, exactly as the batch analyzer applies it.
+        # Karn's rule as tcptrace applies it: discard samples for
+        # sequence ranges that were (ever) retransmitted.
         rexmitted = self.rexmitted_seqs
         analysis.rtt_samples = [
             sample for seq, sample in sorted(self.samples_by_seq.items())
@@ -242,55 +200,32 @@ class _FlowStream:
 class PacketCapture:
     """Attach to a host; observe every packet it sends or receives.
 
-    ``level`` selects the fidelity (see :class:`CaptureLevel`; strings
-    like ``"metrics-only"`` are accepted).  At ``METRICS_ONLY``,
-    ``analyze_senders=False`` additionally skips per-flow sender-side
-    analysis and keeps only the host summary -- the right setting for
-    the client side of a measurement, where only download time and
-    per-path byte shares are read.
+    ``keep_records`` additionally stores one :class:`PacketRecord` per
+    packet (see the module docstring).  ``analyze_senders=False`` skips
+    per-flow sender-side analysis and keeps only the host summary --
+    the right setting for the client side of a measurement, where only
+    download time and per-path byte shares are read.
     """
 
-    def __init__(self, host: Host,
-                 level: Union[CaptureLevel, str] = CaptureLevel.FULL,
+    def __init__(self, host: Host, keep_records: bool = False,
                  analyze_senders: bool = True) -> None:
         self.host = host
-        self.level = CaptureLevel.coerce(level)
         self.packets_seen = 0
         self.summary = CaptureSummary()
-        self._records: Optional[List[PacketRecord]] = None
+        self._records: Optional[List[PacketRecord]] = \
+            [] if keep_records else None
         self._flows: Dict[FlowKey, _FlowStream] = {}
         self._stream_by_tuple: Dict[Tuple[str, int, str, int],
                                     _FlowStream] = {}
         self._analyze_senders = analyze_senders
-        if self.level is CaptureLevel.FULL:
-            self._hook = self._hook_full
-            self._records = []
-        elif self.level is CaptureLevel.HEADERS:
-            self._hook = self._hook_headers
-            self._records = []
-        else:
-            self._hook = self._hook_metrics
         host.add_capture_hook(self._hook)
 
-    # ------------------------------------------------------------------
-    # Hooks (one per level; bound once at construction)
-    # ------------------------------------------------------------------
-
-    def _hook_full(self, direction: str, time: float,
-                   packet: Packet) -> None:
+    def _hook(self, direction: str, time: float, packet: Packet) -> None:
         self.packets_seen += 1
-        self._records.append(PacketRecord(time, direction, packet))
-
-    def _hook_headers(self, direction: str, time: float,
-                      packet: Packet) -> None:
-        self.packets_seen += 1
-        self._records.append(
-            PacketRecord(time, direction, packet, with_options=False))
-
-    def _hook_metrics(self, direction: str, time: float,
-                      packet: Packet) -> None:
-        self.packets_seen += 1
+        if self._records is not None:
+            self._records.append(PacketRecord(time, direction, packet))
         segment = packet.segment
+        flags = segment.flags
         summary = self.summary
         if direction == "recv":
             if segment.payload_len > 0:
@@ -298,33 +233,33 @@ class PacketCapture:
                 shares = summary.recv_bytes_by_dst
                 dst = packet.dst
                 shares[dst] = shares.get(dst, 0) + segment.payload_len
-        else:
-            flags = segment.flags
-            if (flags.syn and not flags.ack
-                    and summary.first_syn_sent is None):
-                summary.first_syn_sent = time
+        elif (flags.syn and not flags.ack
+                and summary.first_syn_sent is None):
+            summary.first_syn_sent = time
         if not self._analyze_senders:
             return
-        stream = self._stream_for(packet, segment)
-        if direction == "send":
-            stream.on_send(time, packet.src, segment.src_port,
-                           packet.dst, segment.dst_port, segment)
-        else:
-            stream.on_recv(time, segment)
-
-    def _stream_for(self, packet: Packet, segment) -> _FlowStream:
         oriented = (packet.src, segment.src_port,
                     packet.dst, segment.dst_port)
         stream = self._stream_by_tuple.get(oriented)
         if stream is None:
-            ends = sorted([(packet.src, segment.src_port),
-                           (packet.dst, segment.dst_port)])
-            key = (ends[0], ends[1])
-            stream = self._flows.get(key)
-            if stream is None:
-                stream = _FlowStream()
-                self._flows[key] = stream
-            self._stream_by_tuple[oriented] = stream
+            stream = self._new_stream(direction, oriented)
+        if direction == "send":
+            stream.on_send(time, segment.seq, segment.payload_len,
+                           flags.syn, flags.ack, flags.fin)
+        else:
+            stream.on_recv(time, segment.ack, flags.syn, flags.ack)
+
+    def _new_stream(self, direction: str,
+                    oriented: Tuple[str, int, str, int]) -> _FlowStream:
+        """The stream of a flow seen in a new orientation; a new flow's
+        local endpoint is this host's end of its first packet."""
+        ends = (oriented[:2], oriented[2:])
+        key = (min(ends), max(ends))
+        stream = self._flows.get(key)
+        if stream is None:
+            local, remote = ends if direction == "send" else ends[::-1]
+            stream = self._flows[key] = _FlowStream(local, remote)
+        self._stream_by_tuple[oriented] = stream
         return stream
 
     # ------------------------------------------------------------------
@@ -335,26 +270,22 @@ class PacketCapture:
     def records(self) -> List[PacketRecord]:
         if self._records is None:
             raise RuntimeError(
-                "capture level 'metrics-only' keeps no per-packet records; "
-                "use level 'full' or 'headers' for record-based analysis")
+                "this capture keeps no per-packet records; construct it "
+                "with keep_records=True for record-based analysis")
         return self._records
 
     def flow_analyses(self, local_prefix: str = ""):
-        """Streamed per-flow analyses (``METRICS_ONLY`` level only).
+        """Per-flow sender-side analyses of the traffic seen so far.
 
         Returns ``{flow_key: FlowAnalysis}`` for every flow in which the
-        capturing host sent data, in first-packet order -- the same
-        flows, order, and contents the batch analyzer yields from a
-        full capture.  ``local_prefix`` filters on the local (sending)
-        address, e.g. ``"server."``.
+        capturing host sent data, in first-packet order.
+        ``local_prefix`` filters on the local (sending) address, e.g.
+        ``"server."``.  Empty under ``analyze_senders=False``.
         """
-        if self.level is not CaptureLevel.METRICS_ONLY:
-            raise RuntimeError("flow_analyses() requires capture level "
-                               "'metrics-only'; analyze records instead")
         analyses = {}
         for key, stream in self._flows.items():
-            if not stream.has_data:
-                continue  # batch analysis skips flows without sent data
+            if not stream.data_packets_sent:
+                continue
             if local_prefix and not stream.local[0].startswith(local_prefix):
                 continue
             analyses[key] = stream.finalize()
@@ -379,5 +310,4 @@ class PacketCapture:
                 if record.direction == "recv")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PacketCapture {self.host.name} level={self.level.value} "
-                f"n={self.packets_seen}>")
+        return f"<PacketCapture {self.host.name} n={self.packets_seen}>"

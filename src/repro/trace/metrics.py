@@ -19,45 +19,24 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.connection import path_name_of
-from repro.trace.analyzer import FlowAnalysis, analyze_flow, flows_in
-from repro.trace.capture import CaptureLevel, PacketCapture
+from repro.trace.analyzer import FlowAnalysis
+from repro.trace.capture import PacketCapture
 
 
 def download_time_from_capture(capture: PacketCapture) -> Optional[float]:
     """First SYN sent to last data packet received, from a client capture."""
-    if getattr(capture, "level", None) is CaptureLevel.METRICS_ONLY:
-        summary = capture.summary
-        first_syn = summary.first_syn_sent
-        last_data = summary.last_data_recv
-        if first_syn is None or last_data is None:
-            return None
-        return last_data - first_syn
-    first_syn = None
-    last_data = None
-    for record in capture.records:
-        if (record.direction == "send" and record.syn
-                and not record.ack_flag):
-            if first_syn is None:
-                first_syn = record.time
-        elif record.direction == "recv" and record.payload_len > 0:
-            last_data = record.time
-    if first_syn is None or last_data is None:
+    summary = capture.summary
+    if summary.first_syn_sent is None or summary.last_data_recv is None:
         return None
-    return last_data - first_syn
+    return summary.last_data_recv - summary.first_syn_sent
 
 
 def bytes_by_client_path(capture: PacketCapture) -> Dict[str, int]:
     """Data bytes received per client interface, keyed by path name."""
     shares: Dict[str, int] = {}
-    if getattr(capture, "level", None) is CaptureLevel.METRICS_ONLY:
-        for dst, nbytes in capture.summary.recv_bytes_by_dst.items():
-            path = path_name_of(dst)
-            shares[path] = shares.get(path, 0) + nbytes
-        return shares
-    for record in capture.records:
-        if record.direction == "recv" and record.payload_len > 0:
-            path = path_name_of(record.dst)
-            shares[path] = shares.get(path, 0) + record.payload_len
+    for dst, nbytes in capture.summary.recv_bytes_by_dst.items():
+        path = path_name_of(dst)
+        shares[path] = shares.get(path, 0) + nbytes
     return shares
 
 
@@ -118,22 +97,7 @@ def connection_metrics(server_capture: PacketCapture,
     )
     shares = bytes_by_client_path(client_capture)
     metrics.bytes_received = sum(shares.values())
-    if getattr(server_capture, "level",
-               None) is CaptureLevel.METRICS_ONLY:
-        # Flow analyses were streamed during the run; same flows, same
-        # order, same contents as batch analysis of a full capture.
-        analyses = server_capture.flow_analyses(local_prefix="server.")
-    else:
-        analyses = {}
-        for key, records in flows_in(server_capture).items():
-            senders = {record.src for record in records
-                       if record.direction == "send"
-                       and record.payload_len > 0}
-            server_addrs = {addr for addr in senders
-                            if addr.startswith("server.")}
-            if not server_addrs:
-                continue
-            analyses[key] = analyze_flow(records, sorted(server_addrs)[0])
+    analyses = server_capture.flow_analyses(local_prefix="server.")
     for key, analysis in analyses.items():
         client_end = (key[0] if key[0][0].startswith("client.")
                       else key[1])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.connection import path_name_of
-from repro.trace.capture import CaptureLevel, PacketCapture
+from repro.trace.capture import PacketCapture
 
 
 @dataclass
@@ -73,12 +73,8 @@ def analyze_mptcp(capture: PacketCapture) -> MptcpTraceAnalysis:
     Only received data packets carrying DSS mappings participate; the
     cumulative point replays exactly the receive buffer's behaviour
     (duplicates trimmed, holes filled when their packet arrives).
+    The capture must keep records (``keep_records=True``).
     """
-    level = getattr(capture, "level", None)
-    if level is not None and level is not CaptureLevel.FULL:
-        raise ValueError(
-            "analyze_mptcp needs DSS options; capture level "
-            f"{level.value!r} does not record them (use 'full')")
     analysis = MptcpTraceAnalysis()
     # (arrival_time, order, dsn_start, dsn_end, path)
     arrivals: List[Tuple[float, int, int, int, str]] = []

@@ -115,3 +115,24 @@ def mininet() -> MiniNet:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(12345)
+
+
+class HookHost:
+    """The slice of ``Host`` a ``PacketCapture`` uses: it keeps the
+    capture's hook so a test can play packets into it."""
+
+    name = "hook-host"
+
+    def add_capture_hook(self, hook) -> None:
+        self.hook = hook
+
+
+def capture_of(packets, **capture_kwargs):
+    """A real ``PacketCapture`` that saw ``packets``, an iterable of
+    ``(time, direction, packet)``."""
+    from repro.trace.capture import PacketCapture
+    host = HookHost()
+    capture = PacketCapture(host, **capture_kwargs)
+    for time, direction, packet in packets:
+        host.hook(direction, time, packet)
+    return capture

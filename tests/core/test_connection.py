@@ -166,6 +166,73 @@ def test_unknown_join_token_is_parked_then_accepted():
     assert len(state["server"].subflows) == 2
 
 
+def _send_capable_syn(testbed, token, src_port):
+    """A bare MP_CAPABLE SYN from client.wifi, as a (re)opened initial
+    subflow would send it."""
+    from repro.core.options import MptcpOptions
+    from repro.netsim.packet import Packet
+    from repro.tcp.segment import Flags, Segment
+    segment = Segment(src_port=src_port, dst_port=HTTP_PORT,
+                      flags=Flags(syn=True),
+                      options=MptcpOptions(mp_capable=True, token=token))
+    testbed.client.send(Packet("client.wifi", testbed.server_addrs[0],
+                               segment))
+
+
+def _synacks_to(capture, port):
+    """SYN-ACKs the (server-side) capture saw leave for ``port``."""
+    return [record for record in capture.sent()
+            if record.syn and record.ack_flag and record.dst_port == port]
+
+
+def test_reopened_mp_capable_from_new_port_is_answered():
+    """The client's first SYN reached us but it never saw the SYN-ACK
+    and re-opens the initial subflow from a new port (same token): the
+    new SYN replaces the half-open attempt instead of being dropped as
+    a duplicate."""
+    from repro.trace.capture import PacketCapture
+    testbed = Testbed(TestbedConfig(seed=1, environment_jitter=False))
+    accepted = []
+    listener = MptcpListener(testbed.sim, testbed.server, HTTP_PORT,
+                             MptcpConfig(),
+                             server_addrs=testbed.server_addrs,
+                             on_connection=accepted.append)
+    capture = PacketCapture(testbed.server, keep_records=True)
+    _send_capable_syn(testbed, token=77, src_port=40000)
+    testbed.run(until=0.5)
+    (server,) = accepted
+    assert [s.endpoint.state for s in server.subflows] == ["syn_rcvd"]
+    assert len(_synacks_to(capture, 40000)) == 1
+
+    _send_capable_syn(testbed, token=77, src_port=40001)
+    testbed.run(until=1.0)
+    assert accepted == [server], "same connection, not a second one"
+    assert listener.connections == {77: server}
+    assert [(s.is_initial, s.endpoint.state) for s in server.subflows] \
+        == [(True, "failed"), (True, "syn_rcvd")]
+    (synack,) = _synacks_to(capture, 40001)
+    assert synack.mp_capable
+
+
+def test_mp_capable_after_establishment_is_ignored():
+    """Once established the client only ever joins, so an MP_CAPABLE
+    SYN carrying a live token is a stale duplicate: no new subflow, no
+    answer."""
+    from repro.trace.capture import PacketCapture
+    testbed, connection, client, state, listener = build()
+    testbed.run(until=30.0)
+    assert client.record.complete
+    server = state["server"]
+    subflows = list(server.subflows)
+    capture = PacketCapture(testbed.server, keep_records=True)
+    _send_capable_syn(testbed, token=connection.token, src_port=49999)
+    testbed.run(until=31.0)
+    assert [record.src_port for record in capture.received()] == [49999]
+    assert server.subflows == subflows
+    assert listener.connections == {connection.token: server}
+    assert list(capture.sent()) == []
+
+
 def test_penalization_disabled_by_default():
     config = MptcpConfig()
     assert config.penalization is False

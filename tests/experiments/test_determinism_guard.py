@@ -1,12 +1,11 @@
 """Determinism guard: no optimization may move a single byte of
 campaign output.
 
-Runs one small campaign under every combination the perf work made
-switchable -- legacy closure-based link scheduling vs the fast
-arg-carrying path, each CSV-supporting capture level, and every run
-cache / dispatch configuration (cache off, cache cold, cache warm,
-chunked submission, LJF vs plan-order dispatch) -- and asserts the
-rendered CSVs are byte-identical."""
+Runs one small campaign under every execution configuration that is
+switchable -- run cache off / cold / warm, worker pool with and without
+chunked submission, the distributed backend, tracing and metrics on --
+and asserts the rendered CSVs are byte-identical to the serial run and
+to the digests pinned across PRs."""
 
 import hashlib
 
@@ -21,7 +20,6 @@ from repro.experiments.scenarios import (
     scheduler_regret_rows,
     traffic_share_rows,
 )
-from repro.netsim.link import Link
 from repro.wireless.profiles import TimeOfDay
 
 KB = 1024
@@ -35,27 +33,18 @@ PINNED_SHARES = \
     "f314d7f725c10b129153f3c93c7e69782c44576bf99a87b8a5c6b0d0141591aa"
 
 
-def _campaign_csvs(fast: bool = True, level: str = "metrics-only",
-                   trace: str = "off", trace_dir=None, jobs: int = 1,
-                   cache=None, chunk: int = 1, dispatch: str = "ljf",
-                   backend: str = "pool"):
+def _campaign_csvs(trace: str = "off", trace_dir=None, jobs: int = 1,
+                   cache=None, chunk: int = 1, backend: str = "pool"):
     """Run the guard campaign; return its figure CSVs as bytes."""
-    original = Link.use_fast_scheduling
-    Link.use_fast_scheduling = fast
-    try:
-        spec = CampaignSpec(
-            name="guard",
-            specs=(FlowSpec.single_path("wifi"),
-                   FlowSpec.mptcp(carrier="att", controller="coupled")),
-            sizes=(64 * KB,), repetitions=1,
-            periods=(TimeOfDay.NIGHT,), base_seed=7)
-        campaign = Campaign(spec, capture_level=level, trace=trace,
-                            trace_dir=trace_dir, jobs=jobs,
-                            cache=cache, chunk=chunk, dispatch=dispatch,
-                            backend=backend)
-        results = campaign.run()
-    finally:
-        Link.use_fast_scheduling = original
+    spec = CampaignSpec(
+        name="guard",
+        specs=(FlowSpec.single_path("wifi"),
+               FlowSpec.mptcp(carrier="att", controller="coupled")),
+        sizes=(64 * KB,), repetitions=1,
+        periods=(TimeOfDay.NIGHT,), base_seed=7)
+    campaign = Campaign(spec, trace=trace, trace_dir=trace_dir, jobs=jobs,
+                        cache=cache, chunk=chunk, backend=backend)
+    results = campaign.run()
     assert all(result.completed for result in results)
     downloads = csv_text(*download_time_rows(results))
     shares = csv_text(*traffic_share_rows(results))
@@ -65,23 +54,7 @@ def _campaign_csvs(fast: bool = True, level: str = "metrics-only",
 @pytest.fixture(scope="module")
 def reference_csvs():
     """The configuration campaigns actually run with."""
-    return _campaign_csvs(fast=True, level="metrics-only")
-
-
-def test_fast_path_matches_legacy_scheduling(reference_csvs):
-    assert _campaign_csvs(fast=False, level="metrics-only") \
-        == reference_csvs
-
-
-@pytest.mark.parametrize("level", ["full", "headers"])
-def test_capture_levels_agree_byte_for_byte(reference_csvs, level):
-    assert _campaign_csvs(fast=True, level=level) == reference_csvs
-
-
-def test_legacy_scheduling_with_full_capture(reference_csvs):
-    """The fully-legacy configuration (what the pre-overhaul code
-    effectively ran) still reproduces today's bytes."""
-    assert _campaign_csvs(fast=False, level="full") == reference_csvs
+    return _campaign_csvs()
 
 
 def test_cache_cold_warm_and_off_agree_byte_for_byte(reference_csvs,
@@ -103,19 +76,14 @@ def test_chunked_submission_matches(reference_csvs):
     assert _campaign_csvs(jobs=2, chunk=2) == reference_csvs
 
 
-@pytest.mark.parametrize("dispatch", ["ljf", "plan"])
-def test_dispatch_order_matches(reference_csvs, dispatch):
-    assert _campaign_csvs(jobs=2, dispatch=dispatch) == reference_csvs
-
-
 def test_cached_chunked_ljf_combined(reference_csvs, tmp_path):
     """The full production configuration — cache + chunking + LJF
     under worker processes — against the plain serial reference."""
     root = tmp_path / "cache"
-    assert _campaign_csvs(jobs=2, cache=str(root), chunk=2,
-                          dispatch="ljf") == reference_csvs
-    assert _campaign_csvs(jobs=2, cache=str(root), chunk=2,
-                          dispatch="ljf") == reference_csvs
+    assert _campaign_csvs(jobs=2, cache=str(root),
+                          chunk=2) == reference_csvs
+    assert _campaign_csvs(jobs=2, cache=str(root),
+                          chunk=2) == reference_csvs
 
 
 def test_distributed_backend_matches(reference_csvs):
@@ -202,8 +170,7 @@ def test_tracing_leaves_campaign_bytes_untouched(reference_csvs, trace,
     """Protocol-event tracing is passive: running the same campaign
     with the flight recorder or full JSONL streaming enabled must
     leave every figure CSV byte-identical."""
-    traced = _campaign_csvs(fast=True, level="metrics-only",
-                            trace=trace, trace_dir=str(tmp_path))
+    traced = _campaign_csvs(trace=trace, trace_dir=str(tmp_path))
     assert traced == reference_csvs
     if trace == "jsonl":
         # The trace actually streamed (one file per campaign cell).
@@ -227,13 +194,12 @@ PINNED_WORLD_FAIRNESS = \
     "614d4f527921c3d543eb4587d886281431afe7833ec27337b61ac4f288436841"
 
 
-def _world_campaign_csv(jobs: int = 1, cache=None,
-                        dispatch: str = "ljf") -> bytes:
+def _world_campaign_csv(jobs: int = 1, cache=None) -> bytes:
     """Run a small world matrix; return its fairness CSV as bytes."""
     spec = world_campaign(
         repetitions=1, periods=(TimeOfDay.NIGHT,), base_seed=7,
         worlds=("bg-none", "bg-light", "closed-8"), size=256 * KB)
-    campaign = Campaign(spec, jobs=jobs, cache=cache, dispatch=dispatch)
+    campaign = Campaign(spec, jobs=jobs, cache=cache)
     results = campaign.run()
     assert all(result.completed for result in results)
     return csv_text(*world_fairness_rows(results)).encode()
@@ -253,8 +219,6 @@ def test_world_campaign_parallel_matches(world_reference_csv):
     """One world == one process: worker-pool dispatch must reproduce
     the serial bytes even though each worker hosts its own engine."""
     assert _world_campaign_csv(jobs=2) == world_reference_csv
-    assert _world_campaign_csv(jobs=2, dispatch="plan") == \
-        world_reference_csv
 
 
 def test_world_campaign_cache_cold_and_warm_match(world_reference_csv,
@@ -273,8 +237,7 @@ def test_world_cells_do_not_disturb_plain_cells(reference_csvs):
     the plain guard campaign's bytes (no RNG or engine-state leaks
     between cells)."""
     _world_campaign_csv()
-    assert _campaign_csvs(fast=True, level="metrics-only") == \
-        reference_csvs
+    assert _campaign_csvs() == reference_csvs
 
 
 # ----------------------------------------------------------------------
@@ -345,5 +308,4 @@ def test_metrics_registry_is_passive(reference_csvs):
         csv_text(*download_time_rows(plain))
     assert all(result.obs_metrics for result in metered)
     assert all(result.obs_metrics is None for result in plain)
-    assert _campaign_csvs(fast=True, level="metrics-only") == \
-        reference_csvs
+    assert _campaign_csvs() == reference_csvs

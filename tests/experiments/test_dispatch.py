@@ -188,15 +188,12 @@ def test_chunking_respects_tiny_threshold():
 def test_build_tasks_caps_chunk_to_keep_workers_busy():
     wifi = FlowSpec.single_path("wifi")
     plan = [_descriptor(index, wifi, 8 * KB) for index in range(8)]
-    tasks = build_tasks(range(8), plan, CostModel(), "ljf",
-                        chunk=64, workers=4)
+    tasks = build_tasks(range(8), plan, CostModel(), chunk=64, workers=4)
     assert len(tasks) >= 4, "batching must never starve the pool"
-    with pytest.raises(ValueError, match="dispatch"):
-        build_tasks(range(8), plan, CostModel(), "sjf", 1, 4)
 
 
 # ----------------------------------------------------------------------
-# End-to-end determinism of the new dispatch paths
+# End-to-end determinism of pooled dispatch
 # ----------------------------------------------------------------------
 
 def small_campaign(base_seed=7):
@@ -208,10 +205,8 @@ def small_campaign(base_seed=7):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(jobs=2, dispatch="plan"),
-    dict(jobs=2, dispatch="ljf"),
-    dict(jobs=2, dispatch="ljf", chunk=3),
-    dict(jobs=2, window=1),
+    dict(jobs=2),
+    dict(jobs=2, chunk=3),
 ])
 def test_dispatch_paths_equal_serial(kwargs):
     spec = small_campaign()
@@ -257,19 +252,8 @@ def test_inflight_futures_never_exceed_jobs_times_window(monkeypatch):
             for index in range(12)]
     monkeypatch.setattr(parallel_module, "_pool_factory", _TrackingPool)
     _TrackingPool.peak = 0
-    jobs, window = 2, 2
+    jobs = 2
     serial = [descriptor.run() for descriptor in plan]
-    windowed = execute_plan(plan, jobs=jobs, window=window)
-    assert 0 < _TrackingPool.peak <= jobs * window
+    windowed = execute_plan(plan, jobs=jobs)
+    assert 0 < _TrackingPool.peak <= jobs * parallel_module._WINDOW
     assert full_dicts(windowed) == full_dicts(serial)
-
-
-def test_window_of_one_still_completes(monkeypatch):
-    wifi = FlowSpec.single_path("wifi")
-    plan = [_descriptor(index, wifi, 8 * KB, seed=index)
-            for index in range(5)]
-    monkeypatch.setattr(parallel_module, "_pool_factory", _TrackingPool)
-    _TrackingPool.peak = 0
-    results = execute_plan(plan, jobs=3, window=1)
-    assert _TrackingPool.peak <= 3
-    assert len(results) == 5 and all(r is not None for r in results)

@@ -1,7 +1,9 @@
 """Distributed backend: lease queue, wire protocol, and end-to-end
 coordinator/worker campaigns (byte-identity, failover, warm reruns)."""
 
+import io
 import socket
+import threading
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.experiments.distributed import (
     LeaseQueue,
     _KILL_AFTER_ENV,
     Coordinator,
+    _execute_chunk,
     spawn_subprocess_workers,
     _reap,
 )
@@ -306,3 +309,44 @@ def test_failed_cell_aborts_the_campaign():
             coordinator.wait(timeout=30.0)
     finally:
         coordinator.close()
+
+
+class _Boom:
+    """A cell that raises when run (module-level: the pool pickles it)."""
+
+    key = "boom"
+
+    def run(self, instrumentation=None):
+        raise ValueError("boom")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_message_names_the_cell_that_raised(jobs):
+    """In a multi-cell chunk the worker must blame the cell that
+    raised, not the chunk's first cell."""
+    good = Campaign(small_campaign()).plan()[0]
+    worker_end, coordinator_end = socket.socketpair()
+    failed = []
+
+    def coordinator():
+        while not failed:
+            message = recv_message(coordinator_end)
+            if message["type"] == "failed":
+                failed.append(message)
+                send_message(coordinator_end, {"type": "abort"})
+            else:
+                send_message(coordinator_end, {"type": "ok", "valid": True})
+
+    peer = threading.Thread(target=coordinator, daemon=True)
+    peer.start()
+    try:
+        rows = _execute_chunk(worker_end, 1, "t", [(4, good), (9, _Boom())],
+                              jobs, None, 0, 0, io.StringIO())
+        peer.join(timeout=30.0)
+        assert not peer.is_alive()
+    finally:
+        worker_end.close()
+        coordinator_end.close()
+    assert rows is None
+    assert [message["position"] for message in failed] == [9]
+    assert "boom" in failed[0]["error"]

@@ -2,7 +2,8 @@
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.link import Link, LinkConfig
@@ -86,14 +87,9 @@ def test_tcp_delivers_exactly_once_under_random_loss(seed, loss,
     assert sum(harness.received) == size
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31),
-       st.floats(min_value=0.3, max_value=3.0, allow_nan=False),
-       st.floats(min_value=0.5, max_value=5.0, allow_nan=False))
-def test_mptcp_delivers_exactly_once_through_outage(seed, down_at,
-                                                    duration):
-    """Reinjection + failover must never duplicate or drop stream
-    bytes, whatever the outage timing."""
+def _assert_delivers_through_outage(seed, down_at, duration):
+    """Download 1 MB over MP-2 while WiFi drops out for ``duration``
+    seconds from ``down_at``; every byte must arrive exactly once."""
     from repro.app.http import HTTP_PORT, HttpClient, HttpServerSession
     from repro.core.connection import MptcpConfig, MptcpConnection, \
         MptcpListener
@@ -101,7 +97,7 @@ def test_mptcp_delivers_exactly_once_through_outage(seed, down_at,
     from repro.wireless.mobility import InterfaceOutage
 
     size = 1024 * 1024
-    testbed = Testbed(TestbedConfig(seed=seed % 1000))
+    testbed = Testbed(TestbedConfig(seed=seed))
     config = MptcpConfig()
     MptcpListener(testbed.sim, testbed.server, HTTP_PORT, config,
                   server_addrs=testbed.server_addrs,
@@ -121,6 +117,32 @@ def test_mptcp_delivers_exactly_once_through_outage(seed, down_at,
     testbed.run(until=240.0)
     assert client.record.complete
     assert connection.receive_buffer.metrics.delivered_bytes == size
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.floats(min_value=0.3, max_value=3.0, allow_nan=False),
+       st.floats(min_value=0.5, max_value=5.0, allow_nan=False))
+@example(seed=156, down_at=1.0, duration=1.0)
+def test_mptcp_delivers_exactly_once_through_outage(seed, down_at,
+                                                    duration):
+    """Reinjection + failover must never duplicate or drop stream
+    bytes, whatever the outage timing."""
+    _assert_delivers_through_outage(seed % 1000, down_at, duration)
+
+
+#: Every seed in 0-999 on which WiFi loses the first SYN-ACK, so the
+#: client's 1 s SYN retransmission coincides with a ``down_at=1.0``
+#: outage and the initial subflow is re-opened from a new port when
+#: WiFi returns.  The listener used to drop that SYN as a duplicate and
+#: the connection never established.
+HANDSHAKE_OUTAGE_SEEDS = (25, 46, 156, 189, 235, 399, 440, 473, 475, 484,
+                          491, 522, 602, 607, 662, 791, 827, 978)
+
+
+@pytest.mark.parametrize("seed", HANDSHAKE_OUTAGE_SEEDS)
+def test_handshake_survives_outage_at_syn_retransmit(seed):
+    _assert_delivers_through_outage(seed, down_at=1.0, duration=1.0)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,19 +1,11 @@
-"""Tests for the link hot path: the modulation catch-up clamp and the
-fast (anonymous post) vs legacy (closure) scheduling equivalence."""
+"""Tests for the link hot path: the modulation catch-up clamp."""
 
 import random
 
 import pytest
 
 from repro.netsim.link import Link, LinkConfig, RateModulation
-from repro.netsim.packet import Packet
 from repro.sim.engine import Simulator
-from repro.tcp.segment import Segment
-
-
-def make_packet(payload: int = 1000) -> Packet:
-    segment = Segment(src_port=1, dst_port=2, payload_len=payload)
-    return Packet("a", "b", segment)
 
 
 def make_link(sim, rate=8e6, prop=0.01, modulation=None, seed=7):
@@ -77,45 +69,3 @@ def test_short_gap_applies_every_interval():
     sim.schedule(5.0, link.current_rate)
     sim.run()
     assert draws["n"] == 50
-
-
-# ----------------------------------------------------------------------
-# Fast vs legacy scheduling equivalence
-# ----------------------------------------------------------------------
-
-def _drive(fast: bool):
-    """Send a burst through a jittery modulated link; return the
-    delivery timeline (time, src_port) and the RNG state."""
-    original = Link.use_fast_scheduling
-    Link.use_fast_scheduling = fast
-    try:
-        sim = Simulator()
-        modulation = RateModulation(sigma=0.05, interval=0.01)
-        config = LinkConfig(rate_bps=4e6, prop_delay=0.005,
-                            buffer_bytes=50_000, loss_rate=0.02,
-                            jitter_mean=0.001, modulation=modulation)
-        link = Link(sim, config, random.Random(42))
-        timeline = []
-        link.deliver = lambda packet: timeline.append(
-            (sim.now, packet.segment.src_port))
-        for index in range(40):
-            sim.schedule(0.001 * index, link.send, make_packet(1000))
-        for index in range(40):
-            segment = Segment(src_port=100 + index, dst_port=2,
-                              payload_len=600)
-            sim.schedule(0.02 + 0.0005 * index, link.send,
-                         Packet("a", "b", segment))
-        sim.run()
-        return timeline, link.rng.random(), link.stats
-    finally:
-        Link.use_fast_scheduling = original
-
-
-def test_fast_and_legacy_scheduling_are_equivalent():
-    """Both paths consume one engine sequence number per packet per
-    hop, so timelines, RNG consumption and stats match exactly."""
-    fast_timeline, fast_rng, fast_stats = _drive(True)
-    legacy_timeline, legacy_rng, legacy_stats = _drive(False)
-    assert fast_timeline == legacy_timeline
-    assert fast_rng == legacy_rng
-    assert fast_stats == legacy_stats

@@ -108,7 +108,7 @@ def test_read_jsonl_tolerates_truncated_tail(tmp_path):
 
 def test_make_trace_bus_modes(tmp_path):
     assert make_trace_bus("off") is NULL_TRACE_BUS
-    ring_bus = make_trace_bus("ring", ring_size=16)
+    ring_bus = make_trace_bus("ring")
     assert ring_bus.enabled and ring_of(ring_bus) is not None
     with pytest.raises(ValueError):
         make_trace_bus("jsonl")  # path required

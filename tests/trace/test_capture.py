@@ -1,6 +1,10 @@
 """Tests for the packet capture layer."""
 
+import pytest
+
+from repro.core.options import DssMapping, MptcpOptions
 from repro.netsim.packet import Packet
+from repro.trace.analyzer import analyze_sender
 from repro.trace.capture import PacketCapture
 from repro.tcp.segment import Flags, Segment
 
@@ -12,16 +16,16 @@ class Sink:
         pass
 
 
-def send(net, payload=100, flags=None):
+def send(net, payload=100, flags=None, options=None):
     segment = Segment(src_port=1000, dst_port=80, payload_len=payload,
-                      flags=flags or Flags())
+                      flags=flags or Flags(), options=options)
     net.client.send(Packet("client.wifi", "server.eth0", segment))
 
 
 def test_capture_records_sends_and_receives():
     net = build_mininet()
-    client_cap = PacketCapture(net.client)
-    server_cap = PacketCapture(net.server)
+    client_cap = PacketCapture(net.client, keep_records=True)
+    server_cap = PacketCapture(net.server, keep_records=True)
     net.server.register_endpoint(("server.eth0", 80, "client.wifi", 1000),
                                  Sink())
     send(net)
@@ -34,7 +38,7 @@ def test_capture_records_sends_and_receives():
 
 def test_records_flatten_header_fields():
     net = build_mininet()
-    capture = PacketCapture(net.client)
+    capture = PacketCapture(net.client, keep_records=True)
     send(net, payload=123, flags=Flags(syn=True))
     net.run()
     record = capture.records[0]
@@ -47,7 +51,7 @@ def test_records_flatten_header_fields():
 
 def test_flow_key_is_direction_agnostic():
     net = build_mininet()
-    capture = PacketCapture(net.client)
+    capture = PacketCapture(net.client, keep_records=True)
     send(net)
     net.run()
     record = capture.records[0]
@@ -67,10 +71,64 @@ def test_detach_stops_recording():
 
 def test_iteration_and_direction_filters():
     net = build_mininet()
-    capture = PacketCapture(net.client)
+    capture = PacketCapture(net.client, keep_records=True)
     send(net)
     send(net)
     net.run()
     assert len(list(capture)) == 2
     assert len(list(capture.sent())) == 2
     assert len(list(capture.received())) == 0
+
+
+# ----------------------------------------------------------------------
+# The record sink is optional; the stream is not
+# ----------------------------------------------------------------------
+
+def test_default_capture_keeps_no_records():
+    net = build_mininet()
+    capture = PacketCapture(net.client)
+    send(net)
+    net.run()
+    assert capture.packets_seen == 1
+    with pytest.raises(RuntimeError, match="no per-packet records"):
+        capture.records
+    with pytest.raises(RuntimeError, match="no per-packet records"):
+        list(capture.sent())
+
+
+def test_summary_tracks_syn_and_data():
+    net = build_mininet()
+    capture = PacketCapture(net.client)
+    send(net, payload=0, flags=Flags(syn=True))
+    net.run()
+    assert capture.summary.first_syn_sent is not None
+    assert capture.summary.last_data_recv is None
+
+
+def test_records_carry_mptcp_options():
+    options = MptcpOptions(mp_capable=True,
+                           dss=DssMapping(dsn=5, ssn=0, length=100),
+                           data_ack=7)
+    net = build_mininet()
+    capture = PacketCapture(net.client, keep_records=True)
+    send(net, options=options)
+    net.run()
+    record = capture.records[0]
+    assert record.dsn == 5
+    assert record.dss_len == 100
+    assert record.data_ack == 7
+    assert record.mp_capable and not record.mp_join
+
+
+def test_record_keeping_capture_still_streams():
+    """Records are a sink on top of the stream, not instead of it."""
+    net = build_mininet()
+    capture = PacketCapture(net.client, keep_records=True)
+    send(net, payload=0, flags=Flags(syn=True))
+    send(net, payload=100)
+    net.run()
+    assert len(capture.records) == 2
+    assert capture.summary.first_syn_sent == capture.records[0].time
+    assert capture.flow_analyses() == analyze_sender(capture)
+    (analysis,) = capture.flow_analyses().values()
+    assert analysis.data_packets_sent == 1

@@ -6,19 +6,17 @@ from repro.experiments.config import FlowSpec
 from repro.experiments.runner import Measurement
 from repro.netsim.packet import Packet
 from repro.tcp.segment import Flags, Segment
-from repro.trace.capture import PacketRecord
 from repro.trace.metrics import (
     bytes_by_client_path,
     cellular_fraction,
     download_time_from_capture,
 )
 
+from tests.conftest import capture_of
 
-class FakeCapture:
-    """Duck-typed capture carrying prebuilt records."""
 
-    def __init__(self, records):
-        self.records = records
+def client_capture(packets):
+    return capture_of(packets, analyze_senders=False)
 
 
 def rec(time, direction, src, dst, payload=0, syn=False, ack_flag=False,
@@ -26,11 +24,11 @@ def rec(time, direction, src, dst, payload=0, syn=False, ack_flag=False,
     segment = Segment(src_port=src_port, dst_port=dst_port,
                       payload_len=payload,
                       flags=Flags(syn=syn, ack=ack_flag))
-    return PacketRecord(time, direction, Packet(src, dst, segment))
+    return (time, direction, Packet(src, dst, segment))
 
 
 def test_download_time_first_syn_to_last_data():
-    capture = FakeCapture([
+    capture = client_capture([
         rec(1.0, "send", "client.wifi", "server.eth0", syn=True),
         rec(1.5, "recv", "server.eth0", "client.wifi", payload=1000,
             src_port=80, dst_port=1000),
@@ -41,13 +39,13 @@ def test_download_time_first_syn_to_last_data():
 
 
 def test_download_time_none_without_data():
-    capture = FakeCapture([
+    capture = client_capture([
         rec(1.0, "send", "client.wifi", "server.eth0", syn=True)])
     assert download_time_from_capture(capture) is None
 
 
 def test_bytes_by_client_path_groups_by_interface():
-    capture = FakeCapture([
+    capture = client_capture([
         rec(1.0, "recv", "server.eth0", "client.wifi", payload=700,
             src_port=80, dst_port=1000),
         rec(1.1, "recv", "server.eth0", "client.att", payload=300,
@@ -57,7 +55,7 @@ def test_bytes_by_client_path_groups_by_interface():
 
 
 def test_cellular_fraction():
-    capture = FakeCapture([
+    capture = client_capture([
         rec(1.0, "recv", "server.eth0", "client.wifi", payload=700,
             src_port=80, dst_port=1000),
         rec(1.1, "recv", "server.eth0", "client.att", payload=300,
@@ -67,7 +65,7 @@ def test_cellular_fraction():
 
 
 def test_cellular_fraction_empty_capture():
-    assert cellular_fraction(FakeCapture([])) == 0.0
+    assert cellular_fraction(client_capture([])) == 0.0
 
 
 def test_connection_metrics_from_real_run():

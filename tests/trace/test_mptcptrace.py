@@ -83,7 +83,7 @@ def test_empty_capture():
 
 def run_instrumented(carrier, size, seed):
     testbed = Testbed(TestbedConfig(carrier=carrier, seed=seed))
-    capture = PacketCapture(testbed.client)
+    capture = PacketCapture(testbed.client, keep_records=True)
     config = MptcpConfig()
     MptcpListener(testbed.sim, testbed.server, HTTP_PORT, config,
                   server_addrs=testbed.server_addrs,
