@@ -8,7 +8,8 @@ max-min fair share of the bottlenecks it crosses, recomputed only on
 flow arrival, departure, or rate-change events -- the desired/available
 bandwidth bookkeeping of the fg-inet dt-simulator design.
 
-Two ideas keep this O(log n) per flow event rather than O(n):
+Three ideas keep a flow event's cost independent of how many flows
+are live:
 
 * **Flow classes.**  Max-min fairness gives identical rates to flows
   with the same route and demand, so flows are grouped into classes
@@ -21,6 +22,17 @@ Two ideas keep this O(log n) per flow event rather than O(n):
   finishes when ``V`` reaches ``V + size_bits``: a constant computed on
   arrival and kept in a min-heap.  Rate changes only alter the speed at
   which ``V`` advances; they never reorder the heap.
+* **Component-local reallocation.**  Water-filling over bottlenecks
+  that share no class is independent *bit for bit* (property-tested),
+  so an event re-solves only the connected component of the bottlenecks
+  whose population it changed; every other class keeps its rate and
+  every other :class:`Link` its load.
+
+Per flow event that leaves: one O(log n) heap operation on the flow's
+class, one solve over the classes of the touched component, and two
+O(live classes) sweeps that cannot be localised without changing float
+results -- advancing every class's virtual clock to *now* and taking
+the minimum next completion for the one timer.  Nothing is per flow.
 
 Packet-level foreground flows participate as *greedy* classes: they
 occupy a fair share in the solver (so background flows do not starve
@@ -32,8 +44,9 @@ residual-capacity load (:meth:`Link.set_fluid_load`).
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.metrics import COUNT_EDGES
 from repro.sim.engine import Simulator
@@ -53,8 +66,21 @@ class ClassKey:
     route: Tuple[str, ...]
     desired_bw: float = GREEDY
 
+    def __post_init__(self) -> None:
+        # One key lives as long as its class and the solver hashes it
+        # half a dozen times per solve: pay for the field tuple once.
+        object.__setattr__(self, "_hash",
+                           hash((self.route, self.desired_bw)))
 
-@dataclass
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes are per process: never ship the cached one.
+        return ClassKey, (self.route, self.desired_bw)
+
+
+@dataclass(slots=True)
 class FluidFlow:
     """One background transfer tracked by the fluid model."""
 
@@ -82,13 +108,16 @@ class FlowClass:
     class was created; ``heap`` orders member flows by the virtual time
     at which they finish.  Packet-level participants use ``pinned``
     membership instead of the heap (they never "complete" in fluid
-    terms -- the packet stack decides that).
+    terms -- the packet stack decides that).  ``hops`` are the hops of
+    the route that are declared bottlenecks, resolved by the network.
     """
 
-    __slots__ = ("key", "heap", "virtual_bits", "rate_bps", "pinned")
+    __slots__ = ("key", "hops", "heap", "virtual_bits", "rate_bps",
+                 "pinned")
 
     def __init__(self, key: ClassKey) -> None:
         self.key = key
+        self.hops: Tuple[str, ...] = ()
         self.heap: List[Tuple[float, int, FluidFlow]] = []
         self.virtual_bits = 0.0
         self.rate_bps = 0.0
@@ -99,19 +128,6 @@ class FlowClass:
     @property
     def count(self) -> int:
         return len(self.heap) + self.pinned
-
-    def advance(self, dt: float) -> None:
-        if dt > 0.0 and self.heap:
-            self.virtual_bits += self.rate_bps * dt
-
-    def next_completion_in(self) -> float:
-        """Seconds until the earliest member finishes, or +inf."""
-        if not self.heap or self.rate_bps <= 0.0:
-            return GREEDY
-        remaining = self.heap[0][0] - self.virtual_bits
-        if remaining <= 0.0:
-            return 0.0
-        return remaining / self.rate_bps
 
 
 def solve_max_min(demands: Dict[ClassKey, int],
@@ -134,17 +150,25 @@ def solve_max_min(demands: Dict[ClassKey, int],
 
     Invariant (property-tested): for every bottleneck, the summed
     allocation of classes crossing it never exceeds its capacity.
+
+    Classes that share no declared bottleneck do not influence each
+    other, bit for bit (property-tested): solving each connected
+    component alone returns exactly what one joint solve returns.
+    :class:`FluidNetwork` relies on that to re-solve only what an
+    event touched.
     """
-    rates: Dict[ClassKey, float] = {}
     remaining = dict(capacities)
     unfrozen = {key: count for key, count in demands.items() if count > 0}
-    for key in unfrozen:
-        rates[key] = 0.0
+    rates: Dict[ClassKey, float] = dict.fromkeys(unfrozen, 0.0)
 
     while unfrozen:
-        # Unfrozen flow population per bottleneck.
+        # Unfrozen flow population per bottleneck, and the smallest
+        # unfrozen demand on the way past.
         population: Dict[str, int] = {}
+        floor = GREEDY
         for key, count in unfrozen.items():
+            if key.desired_bw < floor:
+                floor = key.desired_bw
             for hop in key.route:
                 if hop in remaining:
                     population[hop] = population.get(hop, 0) + count
@@ -156,30 +180,34 @@ def solve_max_min(demands: Dict[ClassKey, int],
                     else 0.0
             break
 
-        fair = {hop: remaining[hop] / count
-                for hop, count in population.items()}
-        level = min(fair.values())
-        floor = min(key.desired_bw for key in unfrozen)
+        # The water level: the smallest fair share of what is left.
+        level = GREEDY
+        for hop, count in population.items():
+            share = remaining[hop] / count
+            if share < level:
+                level = share
 
-        if floor <= level:
+        demand_limited = floor <= level
+        if demand_limited:
             # Demand-limited classes saturate below the water level:
             # freeze all of them at their demand.
             frozen = [key for key in unfrozen if key.desired_bw <= floor]
-            grant = {key: key.desired_bw for key in frozen}
         else:
             # Capacity-limited round: every class crossing a bottleneck
             # at the water level freezes at the fair share.
-            tight = {hop for hop, value in fair.items() if value <= level}
+            tight = {hop for hop, count in population.items()
+                     if remaining[hop] / count <= level}
             frozen = [key for key in unfrozen
-                      if any(hop in tight for hop in key.route)]
-            grant = {key: level for key in frozen}
+                      if not tight.isdisjoint(key.route)]
 
         # Subtract in sorted-key order: float subtraction is not
         # associative, so a dict-order walk would make the remaining
         # capacities -- and hence later rounds -- depend on insertion
         # order (the order-independence property test catches this).
-        for key in sorted(frozen):
-            rate = grant[key]
+        if len(frozen) > 1:
+            frozen.sort()
+        for key in frozen:
+            rate = key.desired_bw if demand_limited else level
             rates[key] = rate
             claimed = rate * unfrozen.pop(key)
             for hop in key.route:
@@ -253,9 +281,15 @@ class FluidNetwork:
     One instance per :class:`Simulator`.  Background flows enter via
     :meth:`start_flow`; packet-level flows register their routes via
     :meth:`attach_packet_flow` so the solver reserves them a fair
-    share.  After every reallocation the summed background load per
-    bottleneck is pushed to the backing :class:`Link` (when one is
-    bound) as residual-capacity load.
+    share.  After every reallocation the summed background load of each
+    re-solved bottleneck is pushed to its backing :class:`Link` (when
+    one is bound) as residual-capacity load.
+
+    Reallocation is incremental: an event marks the bottlenecks whose
+    population it changed, and :meth:`_reallocate` re-solves only the
+    classes connected to them (see :func:`solve_max_min` for why that
+    is exact).  Classes elsewhere keep their rate, links elsewhere
+    their load.
 
     Determinism: the kernel draws no randomness and, while no fluid
     flow is live, schedules no events -- a world with zero background
@@ -270,7 +304,15 @@ class FluidNetwork:
         self.on_complete: Optional[Callable[[FluidFlow], None]] = None
         self._capacities: Dict[str, float] = {}
         self._links: Dict[str, object] = {}
-        self._classes: Dict[ClassKey, FlowClass] = {}
+        #: Live classes by ``(route, desired_bw)``, in creation order.
+        #: Each owns the one :class:`ClassKey` its flows share.
+        self._classes: Dict[Tuple[Tuple[str, ...], float], FlowClass] = {}
+        #: Bottleneck -> live classes crossing it, in creation order:
+        #: the order a bottleneck's load is summed in.
+        self._members: Dict[str, List[FlowClass]] = {}
+        #: Bottlenecks whose population or capacity changed since the
+        #: last solve.
+        self._dirty: Set[str] = set()
         self._live = 0
         self._next_id = 0
         self._timer = None
@@ -286,10 +328,16 @@ class FluidNetwork:
         Capacity is the *nominal* link rate: the fluid model must not
         consult ``Link.current_rate()`` (that would step the modulation
         RNG at fluid-event times and break packet-level determinism).
+        It takes effect at the next reallocation.
         """
         self._capacities[name] = capacity_bps
         if link is not None:
             self._links[name] = link
+        # A hop live classes already name may just have become real.
+        self._members = {hop: [] for hop in self._capacities}
+        for cls in self._classes.values():
+            self._index(cls)
+        self._dirty.add(name)
 
     @property
     def bottlenecks(self) -> Dict[str, float]:
@@ -299,115 +347,120 @@ class FluidNetwork:
 
     def attach_packet_flow(self, route: Tuple[str, ...]) -> ClassKey:
         """Reserve a greedy fair share for a packet-level flow."""
-        key = ClassKey(route=tuple(route))
-        cls = self._classes.get(key)
-        if cls is None:
-            cls = self._classes[key] = FlowClass(key)
+        cls = self._class_for(route, GREEDY)
         cls.pinned += 1
-        self._event(self._reallocate)
-        return key
+        self._population_changed(cls)
+        return cls.key
 
     def detach_packet_flow(self, key: ClassKey) -> None:
-        cls = self._classes.get(key)
+        cls = self._classes.get((key.route, key.desired_bw))
         if cls is None or cls.pinned <= 0:
             return
         cls.pinned -= 1
         if not cls.count:
-            del self._classes[key]
-        self._event(self._reallocate)
+            self._retire(cls)
+        self._population_changed(cls)
 
     def start_flow(self, route: Tuple[str, ...], size_bytes: int,
                    desired_bw: float = GREEDY,
                    on_complete: Optional[Callable[[FluidFlow], None]]
                    = None) -> FluidFlow:
         """Begin a fluid background transfer; completion is announced
-        through ``on_complete`` (per flow) or :attr:`on_complete`."""
-        key = ClassKey(route=tuple(route), desired_bw=desired_bw)
-        cls = self._classes.get(key)
-        if cls is None:
-            cls = self._classes[key] = FlowClass(key)
-        flow = FluidFlow(flow_id=self._next_id, key=key,
-                         size_bytes=size_bytes,
-                         started_at=self.sim.now,
-                         on_complete=on_complete)
+        through ``on_complete`` (per flow) or :attr:`on_complete`.
+
+        Inside a completion callback or a :meth:`batch` the
+        reallocation is left to the enclosing event, so each engine
+        event triggers at most one solver pass.
+        """
+        nested = self._processing
+        if not nested:
+            self._advance()
+        cls = self._class_for(route, desired_bw)
+        now = self.sim.now
+        flow = FluidFlow(self._next_id, cls.key, size_bytes, now,
+                         cls.virtual_bits + size_bytes * 8.0,
+                         None, on_complete)
+        heapq.heappush(cls.heap, (flow.finish_v, flow.flow_id, flow))
         self._next_id += 1
         self._live += 1
-        self.stats.note_start(self._live, now=self.sim.now)
-
-        def _start() -> None:
-            flow.finish_v = cls.virtual_bits + size_bytes * 8.0
-            heapq.heappush(cls.heap, (flow.finish_v, flow.flow_id, flow))
-
-        self._event(self._reallocate, before=_start)
+        self.stats.note_start(self._live, now=now)
+        self._dirty.update(cls.hops)
+        if not nested:
+            self._reallocate()
         return flow
 
     @property
     def live_flows(self) -> int:
         return self._live
 
+    # -- classes -------------------------------------------------------
+
+    def _class_for(self, route: Tuple[str, ...],
+                   desired_bw: float) -> FlowClass:
+        """The live class for a route and demand, created on first use."""
+        spec = (tuple(route), desired_bw)
+        cls = self._classes.get(spec)
+        if cls is None:
+            cls = self._classes[spec] = FlowClass(ClassKey(*spec))
+            self._index(cls)
+            if not cls.hops and desired_bw < GREEDY:
+                # No declared bottleneck bounds it: it runs at its
+                # demand and no solve ever needs to look at it.
+                cls.rate_bps = desired_bw
+        return cls
+
+    def _index(self, cls: FlowClass) -> None:
+        """Resolve ``cls``'s declared hops and list it under each."""
+        members = self._members
+        cls.hops = tuple(hop for hop in cls.key.route if hop in members)
+        for hop in cls.hops:
+            members[hop].append(cls)
+
+    def _retire(self, cls: FlowClass) -> None:
+        del self._classes[(cls.key.route, cls.key.desired_bw)]
+        for hop in cls.hops:
+            self._members[hop].remove(cls)
+
+    def _population_changed(self, cls: FlowClass) -> None:
+        """Re-solve ``cls``'s bottlenecks: now, or at the end of the
+        enclosing event or batch."""
+        self._dirty.update(cls.hops)
+        if not self._processing:
+            self._advance()
+            self._reallocate()
+
     # -- event machinery -----------------------------------------------
 
-    def _event(self, react: Callable[[], None],
-               before: Optional[Callable[[], None]] = None) -> None:
-        """Advance clocks, apply a mutation, reallocate once.
+    @contextmanager
+    def batch(self) -> Iterator["FluidNetwork"]:
+        """Context manager coalescing many mutations into one solve.
 
-        When called re-entrantly (a completion callback starting the
-        next closed-loop flow) the reallocation is deferred to the
-        enclosing event, so each engine event triggers at most one
-        solver pass.
+        Nests (inside another batch or a completion callback the solve
+        is left to the outermost guard) and reallocates even when the
+        body raises: whatever it started before failing is live.
         """
-        if self._processing:
-            if before is not None:
-                before()
-            return
+        outer = self._processing
+        self._advance()
         self._processing = True
         try:
-            self._advance()
-            if before is not None:
-                before()
-            react()
+            yield self
         finally:
-            self._processing = False
-
-    def batch(self):
-        """Context manager coalescing many mutations into one solve."""
-        network = self
-
-        class _Batch:
-            def __enter__(self) -> "FluidNetwork":
-                network._advance()
-                network._processing = True
-                return network
-
-            def __exit__(self, *exc) -> None:
-                network._processing = False
-                if exc[0] is None:
-                    network._reallocate()
-
-        return _Batch()
+            self._processing = outer
+            if not outer:
+                self._reallocate()
 
     def _advance(self) -> None:
         now = self.sim.now
         dt = now - self._last_advance
         if dt > 0.0:
             for cls in self._classes.values():
-                cls.advance(dt)
+                if cls.heap:
+                    cls.virtual_bits += cls.rate_bps * dt
         self._last_advance = now
 
     def _reallocate(self) -> None:
-        demands = {key: cls.count for key, cls in self._classes.items()}
-        rates = solve_max_min(demands, self._capacities)
-        load: Dict[str, float] = {name: 0.0 for name in self._links}
-        for key, cls in self._classes.items():
-            cls.rate_bps = rates.get(key, 0.0)
-            fluid = len(cls.heap)
-            if fluid:
-                claimed = cls.rate_bps * fluid
-                for hop in key.route:
-                    if hop in load:
-                        load[hop] += claimed
-        for name, link in self._links.items():
-            link.set_fluid_load(load[name])
+        if self._dirty:
+            self._solve_dirty()
         trace = self.sim.trace
         if trace.enabled and self._live:
             trace.emit(self.sim.now, "world.alloc", live=self._live,
@@ -415,18 +468,64 @@ class FluidNetwork:
         metrics = self.sim.metrics
         if metrics.enabled and self._live:
             # Reallocation churn: how often the max-min solve reruns
-            # and how many flow classes it juggles each time.
+            # and how many flow classes are live each time.
             metrics.counter("world.realloc").inc()
             metrics.histogram("world.realloc.classes",
                               COUNT_EDGES).observe(float(len(self._classes)))
         self._schedule_timer()
 
+    def _solve_dirty(self) -> None:
+        """Re-solve the classes connected to the dirty bottlenecks.
+
+        Walks bottleneck -> classes -> their other bottlenecks until
+        the component(s) close, hands :func:`solve_max_min` exactly
+        that sub-problem (one call, however many components an event
+        dirtied), and pushes the new load of those bottlenecks only.
+        """
+        members = self._members
+        hops = self._dirty
+        self._dirty = set()
+        classes: Dict[FlowClass, None] = {}
+        stack = list(hops)
+        while stack:
+            for cls in members[stack.pop()]:
+                if cls not in classes:
+                    classes[cls] = None
+                    for hop in cls.hops:
+                        if hop not in hops:
+                            hops.add(hop)
+                            stack.append(hop)
+        if classes:
+            capacities = self._capacities
+            rates = solve_max_min(
+                {cls.key: len(cls.heap) + cls.pinned for cls in classes},
+                {hop: capacities[hop] for hop in hops})
+            for cls in classes:
+                cls.rate_bps = rates.get(cls.key, 0.0)
+        links = self._links
+        if links:
+            for hop in hops:
+                link = links.get(hop)
+                if link is not None:
+                    # Summed in class creation order, as a global pass
+                    # over the classes would: float addition is not
+                    # associative and packet-level digests see the sum.
+                    load = 0.0
+                    for cls in members[hop]:
+                        fluid = len(cls.heap)
+                        if fluid:
+                            load += cls.rate_bps * fluid
+                    link.set_fluid_load(load)
+
     def _schedule_timer(self) -> None:
         horizon = GREEDY
         for cls in self._classes.values():
-            dt = cls.next_completion_in()
-            if dt < horizon:
-                horizon = dt
+            # Seconds until the class's earliest member finishes.
+            if cls.heap and cls.rate_bps > 0.0:
+                remaining = cls.heap[0][0] - cls.virtual_bits
+                dt = remaining / cls.rate_bps if remaining > 0.0 else 0.0
+                if dt < horizon:
+                    horizon = dt
         if horizon == GREEDY:
             if self._timer is not None:
                 self._timer.cancel()
@@ -444,25 +543,32 @@ class FluidNetwork:
         completed: List[FluidFlow] = []
         try:
             self._advance()
+            now = self.sim.now
+            drained: List[FlowClass] = []
             for cls in self._classes.values():
-                if not cls.heap or cls.rate_bps <= 0.0:
+                heap = cls.heap
+                if not heap or cls.rate_bps <= 0.0:
                     continue
                 slack = cls.rate_bps * _COMPLETION_EPS_S
-                while cls.heap and \
-                        cls.heap[0][0] - cls.virtual_bits <= slack:
-                    _, _, flow = heapq.heappop(cls.heap)
-                    flow.finished_at = self.sim.now
+                before = len(completed)
+                while heap and heap[0][0] - cls.virtual_bits <= slack:
+                    flow = heapq.heappop(heap)[2]
+                    flow.finished_at = now
                     completed.append(flow)
-            empty = [key for key, cls in self._classes.items()
-                     if not cls.count]
-            for key in empty:
-                del self._classes[key]
+                if len(completed) > before:
+                    self._dirty.update(cls.hops)
+                    if not heap and not cls.pinned:
+                        drained.append(cls)
+            # Before the callbacks: a closed-loop restart on a drained
+            # class opens a fresh one (virtual clock back at zero).
+            for cls in drained:
+                self._retire(cls)
             self._live -= len(completed)
             trace = self.sim.trace
             for flow in completed:
                 self.stats.note_completion(flow)
                 if trace.enabled:
-                    trace.emit(self.sim.now, "world.flow",
+                    trace.emit(now, "world.flow",
                                flow_id=flow.flow_id,
                                size=flow.size_bytes,
                                duration=flow.duration,
