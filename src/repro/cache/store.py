@@ -229,97 +229,6 @@ class RunCache:
         return True
 
     # ------------------------------------------------------------------
-    # Object-level transfer (distributed sync)
-    # ------------------------------------------------------------------
-    #
-    # The distributed backend moves *objects*, not results: a worker
-    # offers the digests it holds, the coordinator answers with the
-    # subset it lacks (``missing``), and only those wrappers travel.
-    # Because the digest is the content address, a transferred object
-    # lands in the shared ``objects/`` store bit-identical to one the
-    # coordinator would have written itself.
-
-    def digest_of(self, key: str) -> str:
-        """The content address this store files ``key`` under."""
-        return cache_digest(key, self.format_version)
-
-    def missing(self, digests) -> List[str]:
-        """Of ``digests``, the ones this store does not hold — the
-        want-list half of the offer/want sync negotiation."""
-        return [digest for digest in digests
-                if digest not in self._index]
-
-    def export_object(self, key: str) -> Optional[dict]:
-        """The raw content-addressed wrapper for one key (``{key,
-        format_version, result}``), or ``None`` on a miss/corruption.
-
-        This is the byte format that travels between hosts; importing
-        it elsewhere reproduces the entry exactly.
-        """
-        digest = cache_digest(key, self.format_version)
-        if digest not in self._index:
-            return None
-        try:
-            wrapper = json.loads(self._object_path(digest).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if wrapper.get("key") != key or \
-                wrapper.get("format_version") != self.format_version:
-            return None
-        return wrapper
-
-    def import_object(self, wrapper: dict) -> bool:
-        """Store one exported wrapper verbatim (idempotent per key).
-
-        Validates the address before writing: a wrapper whose key or
-        format version does not hash to its own object path is
-        rejected, so a bad peer cannot poison the store.
-        """
-        key = wrapper.get("key")
-        if not isinstance(key, str) or \
-                wrapper.get("format_version") != self.format_version:
-            raise ValueError(
-                f"cannot import object for format version "
-                f"{wrapper.get('format_version')!r} into a v"
-                f"{self.format_version} store")
-        digest = cache_digest(key, self.format_version)
-        if digest in self._index:
-            return False
-        if self._index_handle is None:
-            raise ValueError(f"run cache {self.root} is closed")
-        path = self._object_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_json(path, {"key": key,
-                                "format_version": self.format_version,
-                                "result": wrapper["result"]})
-        self._index_handle.write(digest + "\n")
-        self._index_handle.flush()
-        self._index.add(digest)
-        self.puts += 1
-        return True
-
-    def sync_into(self, other: "RunCache") -> int:
-        """Copy every object the ``other`` store lacks into it.
-
-        The shared-filesystem flavour of the wire sync: two cache
-        directories (e.g. a worker-local store and an NFS-mounted
-        shared one) converge by digest, skipping everything already
-        present.  Returns the number of objects transferred.
-        """
-        if other.format_version != self.format_version:
-            raise ValueError("cannot sync caches across format versions")
-        copied = 0
-        for digest in sorted(other.missing(self._index)):
-            try:
-                wrapper = json.loads(
-                    self._object_path(digest).read_text())
-            except (OSError, json.JSONDecodeError):
-                continue  # corrupt at the source: skip, never spread
-            if other.import_object(wrapper):
-                copied += 1
-        return copied
-
-    # ------------------------------------------------------------------
     # Garbage collection
     # ------------------------------------------------------------------
 

@@ -358,22 +358,21 @@ def _worker_main(argv: List[str]) -> int:
     """``repro worker``: the distributed-campaign worker daemon.
 
     Connects to a coordinator (``repro <artifact> --backend tcp`` or
-    any ``execute_plan`` with a distributed backend), leases campaign
-    cells, executes them with the standard worker init path, and
-    publishes content-addressed result objects back — skipping
-    anything the coordinator already has.  Exits 0 when the
-    coordinator's plan drains.
+    any multi-worker ``execute_plan``), leases campaign cells, runs
+    them through the one cell runner, and publishes content-addressed
+    result objects back — skipping anything the coordinator already
+    has.  Exits 0 when the coordinator's plan drains.
     """
     parser = argparse.ArgumentParser(
         prog="repro worker",
         description="Lease and execute campaign cells from a "
-                    "distributed-campaign coordinator.")
+                    "campaign coordinator.")
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator endpoint to lease work from")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run up to N leased cells concurrently in "
-                             "a local process pool (0 = one per "
-                             "available core, CPU-affinity aware; "
+                        help="run N worker loops, each in its own "
+                             "process and leasing on its own (0 = one "
+                             "per available core, CPU-affinity aware; "
                              "default 1)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="worker-local run cache: leased cells "
@@ -511,15 +510,17 @@ def _main(argv: Optional[List[str]] = None) -> int:
                              "cell even if a stored result exists")
     parser.add_argument("--backend", default="pool",
                         choices=["pool", "subprocess", "ssh", "tcp"],
-                        help="campaign execution backend: 'pool' is "
-                             "the in-process worker pool (default); "
-                             "'subprocess' spawns --jobs local "
-                             "`repro worker` daemons over TCP; 'ssh' "
-                             "spawns one worker per --hosts entry; "
-                             "'tcp' binds the coordinator and waits "
-                             "for externally started workers (`repro "
-                             "worker --connect HOST:PORT`). All "
-                             "backends produce byte-identical results")
+                        help="how workers are spawned once --jobs > 1 "
+                             "(every backend leases cells from the "
+                             "same coordinator): 'pool' forks --jobs "
+                             "local worker processes (default); "
+                             "'subprocess' launches --jobs local "
+                             "`repro worker` commands; 'ssh' launches "
+                             "one `repro worker` per --hosts entry; "
+                             "'tcp' spawns none and waits for workers "
+                             "started by hand (`repro worker --connect "
+                             "HOST:PORT`). All backends produce "
+                             "byte-identical results")
     parser.add_argument("--hosts", metavar="HOST", nargs="+",
                         default=None,
                         help="ssh backend: hosts to spawn one worker "
@@ -527,23 +528,24 @@ def _main(argv: Optional[List[str]] = None) -> int:
                              "be on the remote PATH)")
     parser.add_argument("--bind", metavar="HOST:PORT",
                         default="127.0.0.1:0",
-                        help="coordinator listen address for "
-                             "distributed backends (port 0 picks a "
-                             "free port; default 127.0.0.1:0 — use "
-                             "0.0.0.0:PORT for ssh/tcp workers on "
-                             "other hosts)")
+                        help="coordinator listen address (port 0 "
+                             "picks a free port; default 127.0.0.1:0 "
+                             "— use 0.0.0.0:PORT for ssh/tcp workers "
+                             "on other hosts)")
     parser.add_argument("--lease-timeout", type=float, default=60.0,
                         metavar="S",
-                        help="distributed backends: reassign a "
-                             "worker's leased cells after S seconds "
-                             "without a renewal (default 60)")
+                        help="reassign a worker's leased cells after "
+                             "S seconds without a renewal; a worker "
+                             "whose connection drops is failed over "
+                             "at once (default 60)")
     parser.add_argument("--worker-cache", metavar="DIR", default=None,
-                        help="subprocess backend: worker-local run "
-                             "cache directory (warm cells are served "
-                             "by digest without re-execution)")
+                        help="run cache directory opened by each "
+                             "spawned worker, on its own host (warm "
+                             "cells are served by digest without "
+                             "re-execution)")
     parser.add_argument("--chunk", type=int, default=4, metavar="N",
-                        help="batch up to N tiny cells per worker "
-                             "task to amortize pickling/IPC overhead "
+                        help="batch up to N tiny cells per lease to "
+                             "amortize the per-lease round trips "
                              "(expensive cells always travel alone; "
                              "1 disables batching; default 4)")
     parser.add_argument("--csv", metavar="DIR",
@@ -556,9 +558,10 @@ def _main(argv: Optional[List[str]] = None) -> int:
                         help="run under cProfile and dump pstats "
                              "data to FILE (printed top functions, "
                              "inspectable later with python -m pstats); "
-                             "under --jobs N, worker phase timers and "
-                             "engine counters are aggregated into the "
-                             "parent's summary")
+                             "under --jobs N, on every backend, worker "
+                             "phase timers and engine counters travel "
+                             "back with the results and are aggregated "
+                             "into the parent's summary")
     parser.add_argument("--trace", choices=["off", "ring", "jsonl"],
                         default="off",
                         help="protocol-event tracing per run: 'ring' "

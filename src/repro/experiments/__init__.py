@@ -9,9 +9,10 @@
   :class:`Campaign` runs a randomized measurement matrix the way
   Section 3.2 does (shuffled configuration order per round, multiple
   day periods).
-* :mod:`repro.experiments.parallel` -- fans campaign cells out over
-  worker processes and reassembles them in serial order
-  (deterministic), with a resume journal that skips completed cells.
+* :mod:`repro.experiments.parallel` -- runs campaign cells in-process
+  or leases them to worker processes and reassembles them in serial
+  order (deterministic), with a resume journal that skips completed
+  cells.
 * :mod:`repro.experiments.stats` -- five-number (box-and-whisker)
   summaries, mean +- standard error, and CCDFs.
 * :mod:`repro.experiments.report` -- ASCII tables / text "figures" and
@@ -29,7 +30,6 @@ from repro.experiments.runner import (
     RunDescriptor,
     RunResult,
     descriptor_key,
-    run_key,
 )
 from repro.experiments.stats import (
     FiveNumber,
@@ -67,7 +67,6 @@ __all__ = [
     "RunResult",
     "RunDescriptor",
     "descriptor_key",
-    "run_key",
     "Campaign",
     "CampaignSpec",
     "execute_plan",

@@ -1,42 +1,52 @@
-"""Distributed campaign execution: a coordinator/worker backend.
+"""The one campaign executor: a coordinator leasing cells to workers.
 
 The run cache made campaign cells location-independent — a cell is a
 pure function of its :class:`RunDescriptor` and its result is a
-content-addressed object — so scaling beyond one machine needs only an
-execution backend: this module extends
-:func:`repro.experiments.parallel.execute_plan` with a TCP
-coordinator that leases descriptor chunks to ``repro worker``
-processes anywhere, collects the published result objects into the
-shared store, and reassembles the plan in serial order, byte-identical
-to single-host execution.
+content-addressed object — so every multi-worker campaign, on one
+machine or many, is the same thing:
+:func:`repro.experiments.parallel.execute_plan` binds a
+:class:`Coordinator`, workers lease descriptor chunks from it, run
+them, and publish the result objects back; the plan is reassembled in
+serial order, byte-identical to in-process execution.  The backend
+name only chooses how workers are spawned (:func:`spawn_workers`).
 
 Topology
 --------
 
 ::
 
-    execute_plan(backend="subprocess" | "ssh" | "tcp")
+    execute_plan(jobs > 1, backend=...)
         └── Coordinator (TCP server, one thread per worker connection)
               ├── LeaseQueue   crash-safe chunk leases with expiry
-              ├── run cache    content-addressed objects/ store
+              ├── inbox        decoded results awaiting the caller
               └── run_log      lifecycle + failover records
-    repro worker --connect host:port      (local, ssh-spawned, or manual)
+    run_worker                 (forked, Popen'd, ssh-spawned or manual)
         └── leases a chunk → runs cells → offers digests → publishes
             only the objects the coordinator does not already have
+
+Threads
+-------
+
+Handler threads only speak the protocol: they grant leases, decode
+published objects and put them in the inbox.  Delivery — journal
+record, cache put, progress, cost-model and profile merging — happens
+in :meth:`Coordinator.wait`, on the thread that called
+``execute_plan``, so the stores are single-writer on every backend.  A
+publish is acknowledged once it is in the inbox: the worker does not
+wait out the parent's fsyncs before its next lease.
 
 Lease semantics
 ---------------
 
-A lease is one dispatch task (a chunk of plan positions, built by the
-same cost-model LJF pipeline the pool backend uses) granted to one
-worker with a deadline.  Workers renew after every completed cell;
-a worker that dies (SIGKILL, network partition, host loss) simply
-stops renewing, the coordinator expires the lease, logs a
-``lease_expired`` failover record to the run log, and *refronts* the
-chunk so the next idle worker re-runs it.  Results are delivered
-idempotently by plan position — a presumed-dead worker that comes
-back and publishes anyway is harmless, because a filled slot is never
-overwritten and never re-counted.
+A lease is one dispatch task (a chunk of plan positions from the
+cost-model LJF pipeline) granted to one worker with a deadline.
+Workers renew between cells; a worker that dies (SIGKILL, network
+partition, host loss) drops its connection or simply stops renewing,
+the coordinator logs a ``lease_expired`` failover record to the run
+log and *refronts* the chunk so the next idle worker re-runs it.
+Results are delivered idempotently by plan position — a presumed-dead
+worker that comes back and publishes anyway is harmless, because a
+filled slot is never overwritten and never re-counted.
 
 Crash safety is layered: worker death is handled here (lease expiry);
 coordinator death is handled by the existing persistence layers — the
@@ -46,7 +56,7 @@ re-invoked campaign restores them before leasing anything.
 Determinism
 -----------
 
-The oracle is the determinism guard: whichever host runs whichever
+The oracle is the determinism guard: whichever process runs whichever
 cell, results travel as the cache's full-fidelity object format
 (:func:`repro.experiments.protocol.result_wrapper`), are reassembled
 by plan position, and must be byte-identical to serial execution.
@@ -55,6 +65,7 @@ Nothing in this module can reorder, rescale or re-thin a row.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
@@ -77,14 +88,22 @@ from repro.experiments.protocol import (
     send_message,
 )
 from repro.experiments import storage as _storage
+from repro.obs.telemetry import (
+    RunLog,
+    fail_record,
+    finish_record,
+    write_heartbeat,
+)
 
-#: Default lease lifetime.  Workers renew after every completed cell,
-#: so the timeout only has to exceed the *longest single cell* plus
-#: network slack, not the whole chunk.
+#: Default lease lifetime.  Workers renew between cells, so the timeout
+#: only has to exceed the *longest single cell* plus network slack, not
+#: the whole chunk.
 DEFAULT_LEASE_TIMEOUT_S = 60.0
 
-#: How long a worker sleeps when told to wait (all work leased out).
-_WAIT_S = 0.25
+#: How long a lease request may block in the coordinator while every
+#: chunk is leased out but not delivered; well under the worker's
+#: socket timeout.  The worker just asks again.
+_LEASE_BLOCK_S = 5.0
 
 #: Test hook: a worker SIGKILLs itself after executing this many cells
 #: (before publishing them), simulating mid-chunk host death.
@@ -200,18 +219,19 @@ class Coordinator:
     """TCP work server for one campaign's pending cells.
 
     Owns the lease queue, accepts worker connections (one handler
-    thread each), restores/imports published results through the
-    ``finish`` callback provided by :func:`execute_plan` (which
-    journals, caches and fires the progress callback), and records
-    worker lifecycle — joins, departures, lease failovers — in the
-    campaign run log.
+    thread each), hands published results to the ``deliver`` callback
+    provided by :func:`execute_plan` (which journals, caches and fires
+    the progress callback) from whichever thread calls :meth:`wait`,
+    and records worker lifecycle — joins, departures, lease failovers —
+    in the campaign run log.  The listener is bound on construction, so
+    workers may be spawned against :attr:`address` before :meth:`start`
+    creates the first thread.
     """
 
     def __init__(self, plan: Sequence, tasks: Sequence[Sequence[int]],
                  *, total: int,
                  is_filled: Callable[[int], bool],
-                 finish: Callable[[int, object], None],
-                 observe: Optional[Callable[[int, float], None]] = None,
+                 deliver: Callable[..., None],
                  lease_timeout: float = DEFAULT_LEASE_TIMEOUT_S,
                  bind: str = "127.0.0.1:0",
                  run_log: Optional[str] = None,
@@ -219,85 +239,110 @@ class Coordinator:
         self._plan = plan
         self._total = total
         self._is_filled = is_filled
-        self._finish = finish
-        self._observe = observe
+        self._deliver = deliver
         self._queue = LeaseQueue(tasks, lease_timeout)
         self._lease_timeout = lease_timeout
         self._cond = threading.Condition()
-        self._failure: Optional[BaseException] = None
+        #: Published ``(worker, row, result)`` awaiting :meth:`wait`.
+        self._inbox: List[Tuple[str, dict, object]] = []
+        #: What the first ``failed`` report said; raised by :meth:`wait`.
+        self._failure: Optional[str] = None
         self._closing = False
-        self._threads: List[threading.Thread] = []
-        self._workers_seen = 0
+        self._accept_thread: Optional[threading.Thread] = None
+        self._handlers: List[Tuple[threading.Thread, socket.socket]] = []
         self._heartbeat_dir = heartbeat_dir
-        self._run_log = None
-        if run_log is not None:
-            from repro.obs.telemetry import RunLog
-            self._run_log = RunLog(run_log)
+        self._run_log = RunLog(run_log) if run_log is not None else None
         if heartbeat_dir:
             os.makedirs(heartbeat_dir, exist_ok=True)
-
-        host, port = parse_address(bind)
-        self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)
+        self._listener = socket.create_server(parse_address(bind))
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "Coordinator":
-        accept = threading.Thread(target=self._accept_loop,
-                                  name="repro-coordinator-accept",
-                                  daemon=True)
-        accept.start()
-        self._threads.append(accept)
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="repro-coordinator-accept",
+            daemon=True)
+        self._accept_thread.start()
         return self
 
-    def wait(self, timeout: Optional[float] = None) -> None:
-        """Block until every pending cell is delivered.
+    def wait(self, timeout: Optional[float] = None,
+             spawned: Sequence = ()) -> None:
+        """Deliver published results until every pending cell is in.
 
-        Doubles as the lease watchdog: each tick expires overdue
-        leases, logs the failover, and refronts their chunks.
-        Raises :class:`DistributedExecutionError` if a worker reported
-        a failed cell or ``timeout`` elapses first.
+        Runs ``deliver`` on the calling thread, and doubles as the
+        lease watchdog: each tick expires overdue leases, logs the
+        failover, and refronts their chunks.  Raises
+        :class:`DistributedExecutionError` if a worker reported a
+        failed cell — once the chunks its siblings still hold have been
+        published or given up, so no finished work is thrown away — if
+        every one of the ``spawned`` workers has exited with cells
+        still undelivered and nobody else is connected (failover needs
+        a survivor), or if ``timeout`` elapses first.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         tick = max(0.05, min(1.0, self._lease_timeout / 4.0))
-        with self._cond:
-            while True:
-                for lease in self._queue.expire(time.monotonic()):
-                    self._log("lease_expired", worker=lease.worker,
-                              lease=lease.lease_id,
-                              cells=[self._plan[position].key
-                                     for position in lease.positions])
-                if self._failure is not None:
-                    raise DistributedExecutionError(
-                        str(self._failure)) from self._failure
-                if self._queue.drained:
-                    return
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise DistributedExecutionError(
-                        f"campaign did not drain within {timeout}s "
-                        f"({self._queue.outstanding} leases outstanding)")
-                self._cond.wait(tick)
+        while True:
+            with self._cond:
+                overdue = self._queue.expire(time.monotonic())
+                if overdue:
+                    self._cond.notify_all()   # refronted: wake lessees
+                if not self._inbox:
+                    if self._failure is not None \
+                            and not self._queue.outstanding:
+                        raise DistributedExecutionError(self._failure)
+                    if self._queue.drained:
+                        return
+                    if deadline is not None \
+                            and time.monotonic() >= deadline:
+                        raise DistributedExecutionError(
+                            f"campaign did not drain within {timeout}s "
+                            f"({self._queue.outstanding} leases "
+                            f"outstanding)")
+                    if spawned and all(_exited(worker, 0.0)
+                                       for worker in spawned) \
+                            and not any(thread.is_alive()
+                                        for thread, _ in self._handlers):
+                        raise DistributedExecutionError(
+                            f"all {len(spawned)} spawned workers exited "
+                            f"with cells still undelivered")
+                    self._cond.wait(tick)
+                inbox, self._inbox = self._inbox, []
+            for lease in overdue:
+                self._log_expired(lease)
+            for worker, row, result in inbox:
+                self._deliver_row(worker, row, result)
 
     def close(self) -> None:
+        """Stop serving: no thread, listener or connection survives."""
         with self._cond:
             self._closing = True
+            graceful = self._failure is None and self._queue.drained
             self._cond.notify_all()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
+        if self._accept_thread is not None:
+            # accept() only returns for a connection, so make one.
+            try:
+                socket.create_connection(self.address, timeout=1.0).close()
+            except OSError:
+                pass
+            self._accept_thread.join(timeout=2.0)
+            self._accept_thread = None
+        self._listener.close()
+        # After a drain every worker is one "drained" reply from done;
+        # otherwise cut the connections and let the spawner reap.
+        deadline = time.monotonic() + (2.0 if graceful else 0.0)
+        for thread, conn in self._handlers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                thread.join(timeout=1.0)
+        self._handlers = []
         if self._run_log is not None:
             self._run_log.close()
             self._run_log = None
-
-    def __enter__(self) -> "Coordinator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- internals ------------------------------------------------------
 
@@ -305,35 +350,57 @@ class Coordinator:
         if self._run_log is not None:
             self._run_log.log(event, **fields)
 
-    def _beat(self, worker: str, **fields) -> None:
+    def _log_expired(self, lease: Lease, **fields) -> None:
+        self._log("lease_expired", worker=lease.worker,
+                  lease=lease.lease_id,
+                  cells=[self._plan[position].key
+                         for position in lease.positions], **fields)
+
+    def _beat(self, worker: str, message: dict,
+              current: Optional[str]) -> None:
         if self._heartbeat_dir:
-            from repro.obs.telemetry import write_heartbeat
             write_heartbeat(self._heartbeat_dir, worker,
-                            total=self._total, **fields)
+                            total=self._total,
+                            done=message.get("done", 0),
+                            events_per_sec=message.get("events_per_sec"),
+                            current=current)
+
+    def _deliver_row(self, worker: str, row: dict, result) -> None:
+        """One published cell, on the thread that called :meth:`wait`."""
+        position = int(row["position"])
+        if self._is_filled(position):
+            return  # duplicate delivery after reassignment
+        self._deliver(position, result, row.get("report"),
+                      row.get("wall_s"))
+        if self._run_log is not None:
+            self._log("finish", **finish_record(
+                self._plan[position], result, row.get("wall_s"),
+                row.get("events", 0), worker))
 
     def _accept_loop(self) -> None:
         while True:
-            with self._cond:
-                if self._closing:
-                    return
             try:
                 conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return  # listener closed
+            with self._cond:
+                closing = self._closing
+            if closing:
+                conn.close()
+                return
             handler = threading.Thread(
                 target=self._serve, args=(conn, addr),
                 name=f"repro-coordinator-{addr[0]}:{addr[1]}",
                 daemon=True)
+            self._handlers.append((handler, conn))
             handler.start()
-            self._threads.append(handler)
 
     def _serve(self, conn: socket.socket, addr) -> None:
         worker = f"{addr[0]}:{addr[1]}"
         joined = False
         try:
             with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 hello = recv_message(conn)
                 if hello is None or hello.get("type") != "hello":
                     return
@@ -350,11 +417,9 @@ class Coordinator:
                     return
                 worker = str(hello.get("worker") or worker)
                 joined = True
-                with self._cond:
-                    self._workers_seen += 1
                 self._log("worker_joined", worker=worker,
                           jobs=hello.get("jobs"), addr=addr[0])
-                self._beat(worker, done=0, current=None)
+                self._beat(worker, hello, None)
                 send_message(conn, {"type": "welcome",
                                     "protocol": PROTOCOL_VERSION,
                                     "format_version":
@@ -371,16 +436,12 @@ class Coordinator:
         except (ProtocolError, OSError) as error:
             self._log("worker_error", worker=worker, error=repr(error))
         finally:
-            dropped: List[Lease] = []
             with self._cond:
                 dropped = self._queue.abandon(worker)
                 self._cond.notify_all()
             if joined:
                 for lease in dropped:
-                    self._log("lease_expired", worker=worker,
-                              lease=lease.lease_id, reason="disconnect",
-                              cells=[self._plan[position].key
-                                     for position in lease.positions])
+                    self._log_expired(lease, reason="disconnect")
                 self._log("worker_left", worker=worker,
                           leases_dropped=len(dropped))
 
@@ -401,95 +462,82 @@ class Coordinator:
         raise ProtocolError(f"unknown message type {kind!r}")
 
     def _handle_lease(self, worker: str, message: dict) -> dict:
+        """Grant the next chunk, blocking (bounded) while every chunk
+        is leased out but not yet delivered — one of them may still be
+        refronted by an expiry or a disconnect."""
+        give_up = time.monotonic() + _LEASE_BLOCK_S
         with self._cond:
-            if self._failure is not None:
-                return {"type": "abort"}
-            if self._queue.drained:
-                # Checked before _closing: a worker that asks for more
-                # work while the coordinator is shutting down after a
-                # successful drain should exit 0, not abort.
-                return {"type": "drained"}
-            if self._closing:
-                return {"type": "abort"}
-            lease = self._queue.lease(worker, time.monotonic(),
-                                      skip=self._is_filled)
-            if lease is not None:
-                cells = [descriptor_to_dict(self._plan[position])
-                         for position in lease.positions]
-                positions = list(lease.positions)
-                lease_id = lease.lease_id
-            elif self._queue.drained:
-                return {"type": "drained"}
-            else:
-                return {"type": "wait", "seconds": _WAIT_S}
-        self._log("lease", worker=worker, lease=lease_id,
-                  cells=len(positions))
-        return {"type": "work", "lease": lease_id,
-                "positions": positions, "cells": cells}
+            while True:
+                if self._failure is not None:
+                    return {"type": "abort"}
+                if not self._closing:
+                    lease = self._queue.lease(worker, time.monotonic(),
+                                              skip=self._is_filled)
+                    if lease is not None:
+                        break
+                if self._queue.drained:
+                    # Checked before _closing: a worker that asks for
+                    # more work while the coordinator is shutting down
+                    # after a successful drain should exit 0, not abort.
+                    return {"type": "drained"}
+                if self._closing:
+                    return {"type": "abort"}
+                remaining = give_up - time.monotonic()
+                if remaining <= 0.0:
+                    return {"type": "wait", "seconds": 0.0}
+                self._cond.wait(remaining)
+        cells = [self._plan[position] for position in lease.positions]
+        self._log("lease", worker=worker, lease=lease.lease_id,
+                  cells=len(cells))
+        self._beat(worker, message,
+                   f"{cells[0].spec.identity}:{cells[0].size}")
+        return {"type": "work", "lease": lease.lease_id,
+                "positions": lease.positions,
+                "cells": [descriptor_to_dict(cell) for cell in cells]}
 
     def _handle_renew(self, worker: str, message: dict) -> dict:
         with self._cond:
             valid = self._queue.renew(int(message.get("lease", -1)),
                                       time.monotonic())
-        self._beat(worker, done=message.get("done", 0),
-                   current=message.get("current"),
-                   events_per_sec=message.get("events_per_sec"))
+        self._beat(worker, message, message.get("current"))
         return {"type": "ok", "valid": valid}
 
     def _handle_offer(self, worker: str, message: dict) -> dict:
         """Content negotiation: of the digests the worker holds, name
         the ones the coordinator still needs (hash-keyed, so a warm
         worker-local cache or a duplicate re-run transfers nothing)."""
-        want = []
         with self._cond:
             self._queue.renew(int(message.get("lease", -1)),
                               time.monotonic())
-            for row in message.get("rows", ()):
-                if not self._is_filled(int(row["position"])):
-                    want.append(row["digest"])
-        return {"type": "want", "digests": want}
+        return {"type": "want",
+                "digests": [row["digest"] for row in message.get("rows", ())
+                            if not self._is_filled(int(row["position"]))]}
 
     def _handle_publish(self, worker: str, message: dict) -> dict:
-        imported = 0
+        """Decode and enqueue; :meth:`wait` delivers.  The lease is
+        done as soon as its results are in the inbox."""
+        decoded = [(worker, row, result_from_wrapper(row.pop("object")))
+                   for row in message.get("rows", ())]
         with self._cond:
-            for row in message.get("rows", ()):
-                position = int(row["position"])
-                if self._is_filled(position):
-                    continue  # duplicate delivery after reassignment
-                result = result_from_wrapper(row["object"])
-                descriptor = self._plan[position]
-                if self._observe is not None and "wall_s" in row:
-                    self._observe(position, float(row["wall_s"]))
-                self._finish(position, result)
-                imported += 1
-                self._log("finish", key=descriptor.key,
-                          seed=descriptor.seed,
-                          spec=descriptor.spec.identity,
-                          size=descriptor.size,
-                          duration_s=row.get("wall_s"),
-                          events=row.get("events", 0),
-                          completed=result.completed,
-                          download_time=result.download_time,
-                          worker=worker)
+            self._inbox.extend(decoded)
             self._queue.release(int(message.get("lease", -1)))
             self._cond.notify_all()
-        self._beat(worker, done=message.get("done", 0), current=None)
-        return {"type": "ok", "imported": imported}
+        self._beat(worker, message, None)
+        return {"type": "ok"}
 
     def _handle_failed(self, worker: str, message: dict) -> dict:
-        position = message.get("position")
         error = message.get("error", "unknown worker failure")
-        descriptor = (self._plan[int(position)]
-                      if position is not None else None)
-        if descriptor is not None:
-            self._log("fail", key=descriptor.key, seed=descriptor.seed,
-                      spec=descriptor.spec.identity,
-                      size=descriptor.size, error=error, worker=worker)
+        what = "a cell"
+        if message.get("position") is not None:
+            descriptor = self._plan[int(message["position"])]
+            # The key is identity|size|seed|period: it names all three.
+            what = f"cell {descriptor.key}"
+            if self._run_log is not None:
+                self._log("fail", **fail_record(descriptor, error, worker))
         with self._cond:
-            self._failure = DistributedExecutionError(
-                f"worker {worker} failed "
-                f"{'cell ' + descriptor.key if descriptor else 'a cell'}"
-                f": {error}")
+            if self._failure is None:
+                self._failure = f"worker {worker} failed {what}: {error}"
+            self._queue.release(int(message.get("lease", -1)))
             self._cond.notify_all()
         return {"type": "abort"}
 
@@ -505,11 +553,22 @@ def _connect(address: Tuple[str, int], retry_s: float,
     deadline = time.monotonic() + retry_s
     while True:
         try:
-            return socket.create_connection(address, timeout=30.0)
+            sock = socket.create_connection(address, timeout=30.0)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            return sock
         except OSError:
             if time.monotonic() >= deadline:
                 raise
             time.sleep(interval)
+
+
+def _request(sock, message: dict) -> dict:
+    """One round trip to the coordinator."""
+    send_message(sock, message)
+    reply = recv_message(sock)
+    if reply is None:
+        raise ProtocolError("coordinator vanished")
+    return reply
 
 
 def run_worker(connect: str, jobs: int = 1,
@@ -517,190 +576,159 @@ def run_worker(connect: str, jobs: int = 1,
                label: Optional[str] = None,
                retry_s: float = 10.0,
                stream=None) -> int:
-    """The ``repro worker`` daemon: lease, execute, publish, repeat.
+    """The worker loop: lease, execute, publish, repeat.
 
-    Returns a shell exit status: 0 when the coordinator drained its
-    plan, 1 on abort/failure.  ``jobs`` > 1 fans a leased chunk out
-    over a local process pool (0 = affinity-aware core count, the
-    same :func:`~repro.experiments.parallel.default_jobs` the pool
-    backend uses); ``cache_dir`` opens a worker-local run cache so
-    previously computed cells are served — and offered to the
-    coordinator by digest — without re-execution.
+    The same loop serves every backend — forked by the ``pool``
+    spawner, started as ``repro worker`` by ``subprocess`` / ``ssh``,
+    or attached by hand.  Returns a shell exit status: 0 when the
+    coordinator drained its plan, 1 on abort/failure.  ``jobs`` > 1 is
+    that many worker loops, each in its own process (0 = affinity-aware
+    core count, the same
+    :func:`~repro.experiments.parallel.default_jobs` the executor
+    uses); ``cache_dir`` opens a worker-local run cache so previously
+    computed cells are served — and offered to the coordinator by
+    digest — without re-execution.
     """
     from repro.cache import RunCache
-    from repro.experiments.parallel import default_jobs
+    from repro.cache.store import cache_digest
+    from repro.experiments.parallel import default_jobs, run_cell
 
     stream = stream if stream is not None else sys.stderr
     label = label or f"{socket.gethostname()}-{os.getpid()}"
     if jobs is None or jobs <= 0:
         jobs = default_jobs()
+    if jobs > 1:
+        loops = _start_worker_loops(connect, jobs, cache_dir, label,
+                                    retry_s)
+        for loop in loops:
+            loop.join()
+        return int(any(loop.exitcode != 0 for loop in loops))
+
+    def say(text: str) -> None:
+        print(f"[worker {label}] {text}", file=stream, flush=True)
+
     kill_after = int(os.environ.get(_KILL_AFTER_ENV, "0") or 0)
     cache = RunCache(cache_dir) if cache_dir else None
     sock = _connect(parse_address(connect), retry_s)
-    done = 0
-    executed = 0
+    done = executed = events = 0
+    busy_s = 0.0
+
+    def status(**fields) -> dict:
+        """What the coordinator shows for this worker in heartbeats."""
+        return dict(fields, done=done,
+                    events_per_sec=(round(events / busy_s)
+                                    if busy_s > 0 else None))
+
     try:
-        send_message(sock, {"type": "hello", "worker": label,
-                            "jobs": jobs,
-                            "protocol": PROTOCOL_VERSION,
-                            "format_version": _storage.FORMAT_VERSION})
-        welcome = recv_message(sock)
-        if welcome is None or welcome.get("type") != "welcome":
-            error = (welcome or {}).get("error", "handshake rejected")
-            print(f"[worker {label}] {error}", file=stream, flush=True)
+        welcome = _request(sock, {
+            "type": "hello", "worker": label, "jobs": jobs,
+            "protocol": PROTOCOL_VERSION,
+            "format_version": _storage.FORMAT_VERSION})
+        if welcome.get("type") != "welcome":
+            say(welcome.get("error", "handshake rejected"))
             return 1
         while True:
-            send_message(sock, {"type": "lease"})
-            grant = recv_message(sock)
-            if grant is None:
-                print(f"[worker {label}] coordinator vanished",
-                      file=stream, flush=True)
-                return 1
+            grant = _request(sock, status(type="lease"))
             kind = grant.get("type")
             if kind == "wait":
-                time.sleep(float(grant.get("seconds", _WAIT_S)))
+                time.sleep(float(grant.get("seconds", 0.0)))
                 continue
             if kind == "drained":
                 return 0
             if kind != "work":
-                print(f"[worker {label}] {grant.get('error', kind)}",
-                      file=stream, flush=True)
+                say(grant.get("error", kind))
                 return 1
 
             lease_id = grant["lease"]
-            cells = list(zip(grant["positions"],
-                             (descriptor_from_dict(data)
-                              for data in grant["cells"])))
-            rows = _execute_chunk(sock, lease_id, label, cells, jobs,
-                                  cache, kill_after, executed, stream)
-            if rows is None:
-                return 1  # a cell failed; coordinator told us to abort
-            executed += sum(1 for row in rows if not row["cached"])
+            rows: List[dict] = []
+            for position, data in zip(grant["positions"], grant["cells"]):
+                descriptor = descriptor_from_dict(data)
+                key = descriptor.key
+                row = {"position": position, "key": key,
+                       "digest": cache_digest(key, _storage.FORMAT_VERSION)}
+                rows.append(row)
+                result = cache.get(key) if cache is not None else None
+                if result is None:
+                    if len(rows) > 1:
+                        # Renew between cells, so a slow chunk never
+                        # expires under a live worker.  An invalid lease
+                        # (expired, reassigned) is *not* fatal: results
+                        # stay deliverable idempotently.
+                        _request(sock, status(
+                            type="renew", lease=lease_id,
+                            current=f"{descriptor.spec.identity}:"
+                                    f"{descriptor.size}"))
+                    try:
+                        result, report, wall = run_cell(descriptor)
+                    except Exception as error:
+                        text = f"{type(error).__name__}: {error}"
+                        say(f"cell failed: {text}")
+                        _request(sock, {"type": "failed",
+                                        "lease": lease_id,
+                                        "position": position,
+                                        "error": text})
+                        return 1
+                    executed += 1
+                    busy_s += wall
+                    row["wall_s"] = round(wall, 6)
+                    row["events"] = int(report["counters"].get(
+                        "events_processed", 0))
+                    events += row["events"]
+                    row["report"] = report
+                    if cache is not None:
+                        cache.put(result)
+                    if kill_after and executed >= kill_after:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                row["object"] = result_wrapper(key, result)
             done += len(rows)
 
             # Offer digests first: the coordinator names what it still
             # needs, so duplicates and warm worker-cache hits ship
             # nothing but a hash.
-            send_message(sock, {
+            want = _request(sock, {
                 "type": "offer", "lease": lease_id,
-                "rows": [{"position": row["position"],
-                          "key": row["key"],
+                "rows": [{"position": row["position"], "key": row["key"],
                           "digest": row["digest"]} for row in rows]})
-            want = recv_message(sock)
-            if want is None or want.get("type") != "want":
+            if want.get("type") != "want":
                 return 1
             wanted = set(want.get("digests", ()))
-            send_message(sock, {
-                "type": "publish", "lease": lease_id, "done": done,
-                "rows": [{"position": row["position"],
-                          "digest": row["digest"],
-                          "wall_s": row["wall_s"],
-                          "events": row["events"],
-                          "object": row["object"]}
-                         for row in rows if row["digest"] in wanted]})
-            ack = recv_message(sock)
-            if ack is None or ack.get("type") == "abort":
+            ack = _request(sock, status(
+                type="publish", lease=lease_id,
+                rows=[row for row in rows if row["digest"] in wanted]))
+            if ack.get("type") == "abort":
                 return 1
+    except (ProtocolError, OSError) as error:
+        say(str(error))
+        return 1
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        sock.close()
         if cache is not None:
             cache.close()
 
 
-def _execute_chunk(sock, lease_id: int, label: str,
-                   cells: Sequence[Tuple[int, object]], jobs: int,
-                   cache, kill_after: int, executed_before: int,
-                   stream) -> Optional[List[dict]]:
-    """Run one leased chunk; returns publishable rows or ``None`` if a
-    cell failed (after reporting it).  Renews the lease after every
-    completed cell so slow chunks never expire under a live worker."""
-    from repro.cache.store import cache_digest
-    from repro.experiments.parallel import execute_descriptor_ex
+def _worker_process(connect: str, cache_dir: Optional[str], label: str,
+                    retry_s: float) -> None:
+    """``multiprocessing`` target: one worker loop, exit status kept."""
+    sys.exit(run_worker(connect, cache_dir=cache_dir, label=label,
+                        retry_s=retry_s))
 
-    def renew(current: Optional[str]) -> None:
-        send_message(sock, {"type": "renew", "lease": lease_id,
-                            "done": executed_before, "current": current})
-        reply = recv_message(sock)
-        if reply is None:
-            raise ProtocolError("coordinator vanished during renewal")
-        # An invalid lease (expired, reassigned) is *not* fatal: the
-        # results remain deliverable idempotently.
 
-    rows: List[dict] = []
-    executed = executed_before
-
-    def row_for(position: int, descriptor, result, wall: float,
-                events: int, cached: bool) -> dict:
-        key = descriptor.key
-        return {"position": position, "key": key,
-                "digest": cache_digest(key, _storage.FORMAT_VERSION),
-                "wall_s": round(wall, 6), "events": events,
-                "cached": cached,
-                "object": result_wrapper(key, result)}
-
-    pending: List[Tuple[int, object]] = []
-    for position, descriptor in cells:
-        hit = cache.get(descriptor.key) if cache is not None else None
-        if hit is not None:
-            rows.append(row_for(position, descriptor, hit, 0.0, 0, True))
-        else:
-            pending.append((position, descriptor))
-
-    #: The cell whose run is being awaited: what a failure is blamed on.
-    position: Optional[int] = None
-    try:
-        if jobs > 1 and len(pending) > 1:
-            from concurrent.futures import ProcessPoolExecutor, \
-                as_completed
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(pending))) as pool:
-                futures = {pool.submit(execute_descriptor_ex, descriptor):
-                           (position, descriptor)
-                           for position, descriptor in pending}
-                for future in as_completed(futures):
-                    position, descriptor = futures[future]
-                    result, _report, wall = future.result()
-                    executed += 1
-                    if cache is not None:
-                        cache.put(result)
-                    rows.append(row_for(position, descriptor, result,
-                                        wall, 0, False))
-                    if kill_after and executed >= kill_after:
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    renew(f"{descriptor.spec.identity}:{descriptor.size}")
-        else:
-            for position, descriptor in pending:
-                result, _report, wall = execute_descriptor_ex(descriptor)
-                executed += 1
-                if cache is not None:
-                    cache.put(result)
-                rows.append(row_for(position, descriptor, result,
-                                    wall, 0, False))
-                if kill_after and executed >= kill_after:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                renew(f"{descriptor.spec.identity}:{descriptor.size}")
-    except ProtocolError:
-        raise
-    except BaseException as error:
-        print(f"[worker {label}] cell failed: {error!r}",
-              file=stream, flush=True)
-        try:
-            send_message(sock, {"type": "failed", "lease": lease_id,
-                                "position": position,
-                                "error": repr(error)})
-            recv_message(sock)
-        except (ProtocolError, OSError):
-            pass
-        return None
-    rows.sort(key=lambda row: row["position"])
-    return rows
+def _start_worker_loops(connect: str, count: int,
+                        cache_dir: Optional[str], label: str,
+                        retry_s: float = 10.0
+                        ) -> List[multiprocessing.Process]:
+    """``count`` local processes, each running one worker loop."""
+    loops = [multiprocessing.Process(
+        target=_worker_process, daemon=True,
+        args=(connect, cache_dir, f"{label}.{index}", retry_s))
+        for index in range(count)]
+    for loop in loops:
+        loop.start()
+    return loops
 
 
 # ----------------------------------------------------------------------
-# Worker spawners (the subprocess / ssh backends)
+# Worker spawners: all a backend name chooses
 # ----------------------------------------------------------------------
 
 def _repro_pythonpath() -> str:
@@ -713,131 +741,76 @@ def _repro_pythonpath() -> str:
     return src + (os.pathsep + existing if existing else "")
 
 
-def spawn_subprocess_workers(address: Tuple[str, int], count: int,
-                             jobs_per_worker: int = 1,
-                             cache_dir: Optional[str] = None,
-                             extra_env: Optional[dict] = None,
-                             ) -> List[subprocess.Popen]:
-    """Launch ``count`` localhost ``repro worker`` processes."""
+def spawn_workers(backend: str, address: Tuple[str, int], jobs: int = 1,
+                  hosts: Optional[Sequence[str]] = None,
+                  advertise: Optional[str] = None,
+                  cache_dir: Optional[str] = None) -> list:
+    """Start ``backend``'s workers against a bound coordinator.
+
+    ``"pool"`` forks ``jobs`` local processes straight into
+    :func:`run_worker`; ``"subprocess"`` launches ``jobs`` ``repro
+    worker`` commands on this machine; ``"ssh"`` launches the same
+    command behind an ``ssh HOST`` prefix, one per entry in ``hosts``,
+    each using every core of its host; ``"tcp"`` spawns nothing —
+    attach workers by hand with ``repro worker --connect host:port``.
+    ``advertise`` is the coordinator host as *remote* machines reach it
+    (default: this machine's hostname — a coordinator bound to
+    127.0.0.1 must pass an externally visible bind/advertise pair), and
+    ``repro`` must be on the remote PATH.  Returns the started
+    processes for :func:`reap`.
+    """
     host, port = address
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _repro_pythonpath()
-    if extra_env:
-        env.update(extra_env)
-    command = [sys.executable, "-m", "repro.cli", "worker",
-               "--connect", f"{host}:{port}",
-               "--jobs", str(jobs_per_worker)]
-    if cache_dir:
-        command += ["--cache", cache_dir]
-    return [subprocess.Popen(command, env=env) for _ in range(count)]
+    if backend == "tcp":
+        return []
+    if backend == "pool":
+        return _start_worker_loops(
+            f"{host}:{port}", jobs, cache_dir,
+            f"{socket.gethostname()}-{os.getpid()}")
+
+    def command(program: List[str], connect_host: str,
+                worker_jobs: int) -> List[str]:
+        return program + ["worker", "--connect", f"{connect_host}:{port}",
+                          "--jobs", str(worker_jobs)] \
+            + (["--cache", cache_dir] if cache_dir else [])
+
+    if backend == "subprocess":
+        env = dict(os.environ, PYTHONPATH=_repro_pythonpath())
+        local = command([sys.executable, "-m", "repro.cli"], host, 1)
+        return [subprocess.Popen(local, env=env) for _ in range(jobs)]
+    if backend == "ssh":
+        if not hosts:
+            raise ValueError(
+                "backend 'ssh' needs at least one --hosts entry")
+        remote = command(["repro"], advertise or socket.gethostname(), 0)
+        return [subprocess.Popen(
+            ["ssh", "-o", "BatchMode=yes", target] + remote)
+            for target in hosts]
+    raise ValueError(f"unknown backend {backend!r}; expected 'pool', "
+                     f"'subprocess', 'ssh' or 'tcp'")
 
 
-def spawn_ssh_workers(address: Tuple[str, int],
-                      hosts: Sequence[str],
-                      jobs_per_worker: int = 0,
-                      remote_command: str = "repro",
-                      advertise: Optional[str] = None,
-                      ) -> List[subprocess.Popen]:
-    """Launch one ``repro worker`` per ssh host.
-
-    ``advertise`` is the coordinator address as *remote* hosts reach
-    it (defaults to this machine's hostname — a coordinator bound to
-    127.0.0.1 must pass an externally visible bind/advertise pair).
-    ``remote_command`` is the repro entry point on the remote host
-    (e.g. ``"cd ~/repro && PYTHONPATH=src python -m repro.cli"``).
-    """
-    host = advertise or socket.gethostname()
-    port = address[1]
-    workers = []
-    for target in hosts:
-        remote = (f"{remote_command} worker "
-                  f"--connect {host}:{port} "
-                  f"--jobs {jobs_per_worker}")
-        workers.append(subprocess.Popen(
-            ["ssh", "-o", "BatchMode=yes", target, remote]))
-    return workers
-
-
-def _reap(workers: Sequence[subprocess.Popen],
-          grace_s: float = 5.0) -> None:
-    """Terminate any spawned worker that outlived the campaign."""
-    for worker in workers:
-        if worker.poll() is None:
-            worker.terminate()
-    deadline = time.monotonic() + grace_s
-    for worker in workers:
-        remaining = max(0.1, deadline - time.monotonic())
+def _exited(worker, timeout: float) -> bool:
+    """Has this spawned worker (``Popen`` or ``Process``) exited,
+    waiting up to ``timeout`` seconds for it?"""
+    if isinstance(worker, subprocess.Popen):
         try:
-            worker.wait(timeout=remaining)
+            worker.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
+            return False
+        return True
+    worker.join(timeout=timeout)
+    return not worker.is_alive()
+
+
+def reap(workers: Sequence) -> None:
+    """Leave no spawned worker behind: terminate whatever has not
+    exited (after a drain that is a worker still starting up or on its
+    way out), then — five seconds on — kill."""
+    stubborn = [worker for worker in workers if not _exited(worker, 0.0)]
+    for worker in stubborn:
+        worker.terminate()
+    deadline = time.monotonic() + 5.0
+    for worker in stubborn:
+        if not _exited(worker, max(0.1, deadline - time.monotonic())):
             worker.kill()
-            worker.wait()
-
-
-# ----------------------------------------------------------------------
-# The execute_plan backend entry point
-# ----------------------------------------------------------------------
-
-def execute_distributed(plan: Sequence, pending: Sequence[int], *,
-                        total: int,
-                        is_filled: Callable[[int], bool],
-                        finish: Callable[[int, object], None],
-                        observe: Optional[Callable] = None,
-                        cost_model=None,
-                        chunk: int = 1, jobs: int = 2,
-                        backend: str = "subprocess",
-                        hosts: Optional[Sequence[str]] = None,
-                        bind: str = "127.0.0.1:0",
-                        advertise: Optional[str] = None,
-                        lease_timeout: float = DEFAULT_LEASE_TIMEOUT_S,
-                        worker_cache: Optional[str] = None,
-                        run_log: Optional[str] = None,
-                        heartbeat_dir: Optional[str] = None,
-                        drain_timeout: Optional[float] = None,
-                        announce=None) -> None:
-    """Run ``pending`` plan positions through a coordinator + workers.
-
-    ``backend`` picks where workers come from: ``"subprocess"`` spawns
-    ``jobs`` localhost worker processes, ``"ssh"`` spawns one per host
-    in ``hosts``, and ``"tcp"`` only listens — attach workers by hand
-    with ``repro worker --connect host:port``.  Results flow through
-    ``finish`` exactly as pool execution does, so journal, cache,
-    progress and plan-order reassembly are untouched.
-    """
-    if backend not in ("subprocess", "ssh", "tcp"):
-        raise ValueError(f"unknown distributed backend {backend!r}; "
-                         f"expected 'subprocess', 'ssh' or 'tcp'")
-    if backend == "ssh" and not hosts:
-        raise ValueError("backend 'ssh' needs at least one --hosts entry")
-
-    from repro.cache import CostModel, build_tasks
-    if cost_model is None:
-        cost_model = CostModel()
-    slots = len(hosts) if backend == "ssh" else max(1, jobs)
-    tasks = build_tasks(list(pending), plan, cost_model, chunk, slots)
-
-    def observe_position(position: int, wall_s: float) -> None:
-        if observe is not None:
-            observe(position, wall_s)
-
-    coordinator = Coordinator(
-        plan, tasks, total=total, is_filled=is_filled, finish=finish,
-        observe=observe_position, lease_timeout=lease_timeout,
-        bind=bind, run_log=run_log, heartbeat_dir=heartbeat_dir)
-    workers: List[subprocess.Popen] = []
-    try:
-        coordinator.start()
-        if announce is not None:
-            announce(coordinator.address)
-        if backend == "subprocess":
-            workers = spawn_subprocess_workers(
-                coordinator.address, count=max(1, jobs),
-                cache_dir=worker_cache)
-        elif backend == "ssh":
-            workers = spawn_ssh_workers(
-                coordinator.address, hosts,
-                advertise=advertise)
-        coordinator.wait(timeout=drain_timeout)
-    finally:
-        coordinator.close()
-        _reap(workers)
+            _exited(worker, 5.0)

@@ -4,17 +4,18 @@ The paper's methodology (Section 3.2) is a large measurement matrix —
 configurations x file sizes x repetitions x day periods — and every
 cell builds a fresh, independently seeded :class:`Testbed` that shares
 no state with any other.  That makes a campaign embarrassingly
-parallel: :func:`execute_plan` fans the cells of a
-:meth:`Campaign.plan` out over a :class:`ProcessPoolExecutor` and
-reassembles the results in serial order.
+parallel: :func:`execute_plan` runs the cells of a
+:meth:`Campaign.plan` in-process, or leases them to worker processes
+through the one coordinator of :mod:`repro.experiments.distributed`,
+and reassembles the results in serial order.
 
 Three properties are guaranteed:
 
-* **Determinism** — each run is a pure function of its picklable
-  :class:`RunDescriptor` (spec, size, seed, period, profiles), so the
+* **Determinism** — each run is a pure function of its
+  :class:`RunDescriptor` (spec, size, seed, period), so the
   reassembled results list is bit-for-bit equal to what the serial
-  loop produces, whatever the worker count, dispatch order, chunking
-  or cache state.
+  loop produces, whatever the worker count, backend, dispatch order,
+  chunking or cache state.
 * **Resumability** — with a :class:`ResultJournal`, every completed
   run is streamed to disk before the next progress tick, and cells
   already journaled are restored instead of recomputed.  Killing a
@@ -26,39 +27,29 @@ Three properties are guaranteed:
   that share configuration cells — fig2/fig3/tab2 all run the same
   "baseline" matrix — compute each unique cell exactly once.
 
-Dispatch is cost-aware: pending cells are submitted longest-job-first
-(a :class:`repro.cache.CostModel` calibrated from run-log wall times,
-falling back to a size x config heuristic) so the pool never ends
-tail-bound on a straggler, tiny cells are batched into chunks to
-amortize pickling/IPC overhead, and submission is streamed through a
-bounded in-flight window (``jobs x _WINDOW`` futures) instead of
-materializing every pickled descriptor and future upfront.
+Dispatch is cost-aware: pending cells are leased longest-job-first
+(a :class:`repro.cache.CostModel` calibrated from the wall time of
+every executed cell, falling back to a size x config heuristic) so
+the workers never end tail-bound on a straggler, and tiny cells are
+batched into chunks to amortize the per-lease round trips.  Nothing is
+handed out ahead of a worker asking for it.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.runner import RunDescriptor, RunResult
 from repro.experiments.storage import ResultJournal
+from repro.perf.instrumentation import Instrumentation
 
 #: ``progress(completed_count, total, result)`` — the same callback
 #: signature :class:`Campaign` has always used; under parallel
 #: execution results arrive in completion order, not plan order.
 ProgressFn = Callable[[int, int, RunResult], None]
-
-#: Pool construction hook; tests swap in an instrumented executor to
-#: assert submission-window bounds without real worker processes.
-_pool_factory = ProcessPoolExecutor
-
-#: Submitted-but-unfinished tasks allowed per worker: one running, one
-#: queued behind it so a worker never idles waiting on the parent.
-_WINDOW = 2
 
 
 def default_jobs() -> int:
@@ -94,69 +85,19 @@ def default_jobs() -> int:
     return jobs
 
 
-def execute_descriptor(descriptor: RunDescriptor) -> RunResult:
-    """Worker entry point; must be a module-level name to pickle."""
-    return descriptor.run()
-
-
-def execute_chunk(descriptors: Sequence[RunDescriptor]
-                  ) -> List[RunResult]:
-    """Worker entry point for a batched task of tiny cells.
-
-    One submission, one pickle round-trip, ``len(descriptors)`` runs;
-    results come back in task order.
-    """
-    return [descriptor.run() for descriptor in descriptors]
-
-
-# ----------------------------------------------------------------------
-# Telemetry-carrying execution (the ``--progress`` / ``--profile`` path)
-# ----------------------------------------------------------------------
-#
-# Worker processes cannot share objects with the parent, so telemetry
-# state is per-process module globals seeded by the pool initializer.
-# The same pair of functions also serves the serial path, so one code
-# path produces run logs, heartbeats and instrumentation everywhere.
-
-_WORKER_TELEMETRY = None
-_WORKER_PROFILED = False
-
-
-def _init_worker(run_log_path: Optional[str],
-                 heartbeat_dir: Optional[str],
-                 total: int, profiled: bool) -> None:
-    """Pool initializer: build this process's telemetry state."""
-    global _WORKER_TELEMETRY, _WORKER_PROFILED
-    if run_log_path is not None or heartbeat_dir is not None:
-        from repro.obs.telemetry import WorkerTelemetry
-        _WORKER_TELEMETRY = WorkerTelemetry(run_log_path, heartbeat_dir,
-                                            total=total)
-    _WORKER_PROFILED = profiled
-
-
-def _reset_worker() -> None:
-    """Tear down telemetry state (serial path runs in the parent)."""
-    global _WORKER_TELEMETRY, _WORKER_PROFILED
-    if _WORKER_TELEMETRY is not None:
-        _WORKER_TELEMETRY.close()
-    _WORKER_TELEMETRY = None
-    _WORKER_PROFILED = False
-
-
-def execute_descriptor_ex(descriptor: RunDescriptor
-                          ) -> Tuple[RunResult, Optional[dict], float]:
-    """Worker entry point with telemetry and instrumentation.
+def run_cell(descriptor: RunDescriptor, telemetry=None
+             ) -> Tuple[RunResult, dict, float]:
+    """Run one campaign cell: the only place a descriptor is executed,
+    in the in-process loop and in every worker alike.
 
     Returns ``(result, report, wall_s)``: ``report`` is the run's
-    :meth:`Instrumentation.report` for parent-side merging (``None``
-    unless profiling was requested) and ``wall_s`` is the run's wall
-    time, surfaced to the parent as a live cost-model calibration
-    sample.  A run that raises leaves a ``fail`` record -- naming the
-    seed and FlowSpec identity -- in the shared run log before the
-    exception propagates to the parent.
+    :meth:`Instrumentation.report` for merging into the campaign's
+    profile and ``wall_s`` its wall time, the cost model's calibration
+    sample.  ``telemetry`` (a
+    :class:`repro.obs.telemetry.WorkerTelemetry`) gets the run's
+    lifecycle; a run that raises leaves a ``fail`` record -- naming
+    the seed and FlowSpec identity -- before the exception propagates.
     """
-    from repro.perf.instrumentation import Instrumentation
-    telemetry = _WORKER_TELEMETRY
     inst = Instrumentation()
     started = time.perf_counter()
     if telemetry is not None:
@@ -172,14 +113,7 @@ def execute_descriptor_ex(descriptor: RunDescriptor
     if telemetry is not None:
         events = int(inst.counters.get("events_processed", 0))
         telemetry.run_finished(descriptor, result, wall, events)
-    return result, (inst.report() if _WORKER_PROFILED else None), wall
-
-
-def execute_chunk_ex(descriptors: Sequence[RunDescriptor]
-                     ) -> List[Tuple[RunResult, Optional[dict], float]]:
-    """Telemetry-carrying variant of :func:`execute_chunk`."""
-    return [execute_descriptor_ex(descriptor)
-            for descriptor in descriptors]
+    return result, inst.report(), wall
 
 
 def _default_cost_model(run_log: Optional[str]):
@@ -209,7 +143,7 @@ def execute_plan(plan: Sequence[RunDescriptor],
                  worker_cache: Optional[str] = None,
                  drain_timeout: Optional[float] = None,
                  ) -> List[RunResult]:
-    """Execute campaign cells, serially or across worker processes.
+    """Execute campaign cells, in-process or across worker processes.
 
     ``jobs`` <= 1 runs in-process in plan order (the historical serial
     behaviour); ``jobs`` = 0 or None means one worker per available
@@ -223,37 +157,37 @@ def execute_plan(plan: Sequence[RunDescriptor],
     store).  The returned list is always in plan order, bit-identical
     to serial execution regardless of any of these knobs.
 
-    Dispatch under ``jobs > 1`` is cost-aware: cells are submitted
-    longest-job-first, ``cost_model`` (a :class:`repro.cache.CostModel`;
-    default: calibrated from ``run_log`` if one exists) supplies the
-    estimates, ``chunk`` > 1 batches tiny cells into one task, and at
-    most ``jobs x _WINDOW`` submitted tasks are in flight at once — the
-    rest of the plan stays unsubmitted until a slot frees, capping
-    parent-side memory.
+    Every multi-worker campaign is one
+    :class:`~repro.experiments.distributed.Coordinator` leasing chunks
+    to workers that ask for them: cells are ordered longest-job-first
+    by ``cost_model`` (a :class:`repro.cache.CostModel`; default:
+    calibrated from ``run_log`` if one exists, and fed the wall time of
+    every cell executed here), ``chunk`` > 1 batches tiny cells into
+    one lease.  ``backend`` only chooses how workers are spawned:
+    ``"pool"`` (the default) starts ``jobs`` local worker processes —
+    and runs in-process instead when one worker would do —
+    ``"subprocess"`` launches ``jobs`` ``repro worker`` commands,
+    ``"ssh"`` launches one per entry in ``hosts``, ``"tcp"`` spawns
+    none and waits for workers attached by hand.  Whatever process
+    runs whatever cell, results are reassembled by plan position and
+    stay byte-identical to serial execution; a cell that raises on a
+    worker surfaces as a
+    :class:`~repro.experiments.distributed.DistributedExecutionError`
+    naming it, after every chunk published before it was journaled and
+    cached.  Both stores and ``progress`` are only ever entered from
+    the calling thread.
 
-    ``run_log`` (a path) streams start/finish/fail records for every
-    run; ``heartbeat_dir`` makes each worker publish live heartbeat
-    files for a :class:`repro.obs.telemetry.ProgressRenderer`;
+    ``run_log`` (a path) streams lifecycle records for every run;
+    ``heartbeat_dir`` publishes live per-worker heartbeat files for a
+    :class:`repro.obs.telemetry.ProgressRenderer`;
     ``instrumentation`` (a parent-process :class:`Instrumentation`)
     receives every worker's merged phase timers and counters, which is
     what makes ``--profile`` meaningful under ``--jobs N``.
-
-    ``backend`` selects *where* workers run: ``"pool"`` (the default
-    single-host process pool), or a distributed backend served by a
-    TCP coordinator (:mod:`repro.experiments.distributed`) —
-    ``"subprocess"`` spawns ``jobs`` localhost ``repro worker``
-    processes, ``"ssh"`` spawns one per entry in ``hosts``, ``"tcp"``
-    only listens so workers can be attached by hand.  Whatever host
-    runs whatever cell, results are reassembled by plan position and
-    stay byte-identical to serial execution; journal, cache, run log
-    and progress plumbing are shared with the pool path.
     """
     plan = list(plan)
     total = len(plan)
     if jobs is None or jobs == 0:
         jobs = default_jobs()
-    telemetered = (run_log is not None or heartbeat_dir is not None
-                   or instrumentation is not None)
     owns_journal = isinstance(journal, (str, Path))
     if owns_journal:
         journal = ResultJournal(journal)
@@ -282,8 +216,19 @@ def execute_plan(plan: Sequence[RunDescriptor],
             else:
                 pending.append(position)
 
-        def finish(position: int, result: RunResult) -> None:
+        if cost_model is None:
+            cost_model = _default_cost_model(run_log)
+
+        def deliver(position: int, result: RunResult,
+                    report: Optional[dict],
+                    wall_s: Optional[float]) -> None:
+            """Account for one computed cell; ``report`` / ``wall_s``
+            are ``None`` when a worker served it from its own cache."""
             nonlocal done
+            if instrumentation is not None and report:
+                instrumentation.merge_report(report)
+            if wall_s is not None:
+                cost_model.observe(plan[position], wall_s)
             if journal is not None:
                 journal.record(result)
             if cache is not None:
@@ -293,120 +238,44 @@ def execute_plan(plan: Sequence[RunDescriptor],
             if progress is not None:
                 progress(done, total, result)
 
-        def merge(report: Optional[dict]) -> None:
-            if instrumentation is not None and report:
-                instrumentation.merge_report(report)
-
-        if cost_model is None:
-            cost_model = _default_cost_model(run_log)
-
-        if backend != "pool":
-            if instrumentation is not None:
-                raise ValueError(
-                    "--profile is not supported under distributed "
-                    "backends: worker instrumentation does not travel "
-                    "over the wire")
-            if pending:
-                from repro.experiments.distributed import \
-                    execute_distributed
-                execute_distributed(
-                    plan, pending, total=total,
-                    is_filled=lambda position: slots[position] is not None,
-                    finish=finish,
-                    observe=lambda position, wall:
-                        cost_model.observe(plan[position], wall),
-                    cost_model=cost_model,
-                    chunk=chunk, jobs=jobs, backend=backend,
-                    hosts=hosts, bind=bind, advertise=advertise,
-                    lease_timeout=lease_timeout,
-                    worker_cache=worker_cache,
-                    run_log=run_log, heartbeat_dir=heartbeat_dir,
-                    drain_timeout=drain_timeout)
-        elif jobs <= 1 or len(pending) <= 1:
-            if telemetered:
-                _init_worker(run_log, heartbeat_dir, total,
-                             instrumentation is not None)
-                try:
-                    for position in pending:
-                        result, report, wall = execute_descriptor_ex(
-                            plan[position])
-                        merge(report)
-                        cost_model.observe(plan[position], wall)
-                        finish(position, result)
-                finally:
-                    _reset_worker()
-            else:
-                for position in pending:
-                    finish(position, plan[position].run())
-        else:
-            from repro.cache import build_tasks
-            workers = min(jobs, len(pending))
-            tasks = deque(build_tasks(pending, plan, cost_model,
-                                      chunk, workers))
-            max_inflight = workers * _WINDOW
-            inflight: Dict[object, List[int]] = {}
-            entry = (execute_chunk_ex if telemetered else execute_chunk)
-            pool_kwargs = {}
-            if telemetered:
-                pool_kwargs = dict(
-                    initializer=_init_worker,
-                    initargs=(run_log, heartbeat_dir, total,
-                              instrumentation is not None))
-
+        workers = max(1, min(jobs, len(pending)))
+        if backend == "pool" and workers == 1:
+            telemetry = None
+            if run_log is not None or heartbeat_dir is not None:
+                from repro.obs.telemetry import WorkerTelemetry
+                telemetry = WorkerTelemetry(run_log, heartbeat_dir,
+                                            total=total)
             try:
-                with _pool_factory(max_workers=workers,
-                                   **pool_kwargs) as pool:
-
-                    def top_up() -> None:
-                        while tasks and len(inflight) < max_inflight:
-                            positions = tasks.popleft()
-                            future = pool.submit(
-                                entry,
-                                [plan[position] for position in positions])
-                            inflight[future] = positions
-
-                    top_up()
-                    while inflight:
-                        completed, _ = wait(inflight,
-                                            return_when=FIRST_COMPLETED)
-                        for future in completed:
-                            positions = inflight.pop(future)
-                            payloads = future.result()
-                            for position, payload in zip(positions,
-                                                         payloads):
-                                if telemetered:
-                                    result, report, wall = payload
-                                    merge(report)
-                                    cost_model.observe(plan[position],
-                                                       wall)
-                                else:
-                                    result = payload
-                                finish(position, result)
-                        top_up()
-            except BaseException:
-                # Pool shutdown has drained the siblings by now; runs
-                # that finished but were never consumed from their
-                # futures must still reach the journal (and cache), or
-                # a failed worker throws away their completed work on
-                # resume.  (Cells that finished *inside* a failing
-                # chunk are lost with it — the chunk's future carries
-                # only the exception.)
-                if journal is not None or cache is not None:
-                    for future, positions in inflight.items():
-                        if not (future.done() and not future.cancelled()
-                                and future.exception() is None):
-                            continue
-                        for position, payload in zip(positions,
-                                                     future.result()):
-                            if slots[position] is not None:
-                                continue
-                            result = (payload[0] if telemetered
-                                      else payload)
-                            if journal is not None:
-                                journal.record(result)
-                            if cache is not None:
-                                cache.put(result)
-                raise
+                for position in pending:
+                    deliver(position, *run_cell(plan[position], telemetry))
+            finally:
+                if telemetry is not None:
+                    telemetry.close()
+        elif pending:
+            from repro.cache import build_tasks
+            from repro.experiments.distributed import (
+                Coordinator, reap, spawn_workers)
+            tasks = build_tasks(
+                pending, plan, cost_model, chunk,
+                max(1, len(hosts or ())) if backend == "ssh" else workers)
+            coordinator = Coordinator(
+                plan, tasks, total=total,
+                is_filled=lambda position: slots[position] is not None,
+                deliver=deliver, lease_timeout=lease_timeout, bind=bind,
+                run_log=run_log, heartbeat_dir=heartbeat_dir)
+            spawned: list = []
+            try:
+                # Spawn before serving: the listener is already bound,
+                # and no process may fork while coordinator threads run.
+                spawned = spawn_workers(
+                    backend, coordinator.address, jobs=workers,
+                    hosts=hosts, advertise=advertise,
+                    cache_dir=worker_cache)
+                coordinator.start()
+                coordinator.wait(timeout=drain_timeout, spawned=spawned)
+            finally:
+                coordinator.close()
+                reap(spawned)
 
         missing = [position for position, result in enumerate(slots)
                    if result is None]

@@ -1,6 +1,6 @@
-"""Wire protocol for distributed campaign execution.
+"""Wire protocol for campaign execution.
 
-The coordinator/worker backend (:mod:`repro.experiments.distributed`)
+The coordinator/worker executor (:mod:`repro.experiments.distributed`)
 spans processes *and machines*, so everything on the wire is plain
 JSON: a 4-byte big-endian length prefix followed by one UTF-8 JSON
 object.  No pickling — a worker built from a different checkout must
@@ -9,11 +9,8 @@ fail the version handshake, never deserialize garbage.
 Two codecs live here next to the framing:
 
 * :func:`descriptor_to_dict` / :func:`descriptor_from_dict` — a
-  :class:`~repro.experiments.runner.RunDescriptor` as JSON.  Campaign
-  descriptors are already plain data (the pool backend pickles them);
-  the only non-JSON fields are the optional profile *objects*, which
-  campaigns never set — a descriptor carrying one is rejected loudly
-  rather than silently dropped.
+  :class:`~repro.experiments.runner.RunDescriptor` as JSON; every
+  field of a descriptor is plain data.
 * :func:`result_wrapper` / :func:`result_from_wrapper` — a completed
   :class:`~repro.experiments.runner.RunResult` as the *same*
   content-addressed object the run cache stores on disk
@@ -119,12 +116,6 @@ def parse_address(text: str) -> Tuple[str, int]:
 
 def descriptor_to_dict(descriptor: RunDescriptor) -> dict:
     """One campaign cell as JSON-safe plain data."""
-    if descriptor.wifi_profile is not None \
-            or descriptor.cell_profile is not None:
-        raise ProtocolError(
-            "descriptors carrying live profile objects cannot travel "
-            "over the wire; campaign descriptors resolve profiles from "
-            "(period, path_pair) on the worker side")
     return {
         "index": descriptor.index,
         "spec": dataclasses.asdict(descriptor.spec),

@@ -53,10 +53,6 @@ def descriptor_key(spec: FlowSpec, size: int, seed: int,
     return f"{spec.identity}|{size}|{seed}|{period.value}"
 
 
-#: Backwards-compatible alias (the journal grew this name first).
-run_key = descriptor_key
-
-
 @dataclass
 class RunResult:
     """Everything one measurement yields."""
@@ -421,10 +417,11 @@ class Measurement:
 
 @dataclass(frozen=True)
 class RunDescriptor:
-    """One campaign cell as plain picklable data.
+    """One campaign cell as plain data.
 
-    Worker processes receive these instead of live :class:`Measurement`
-    objects; :meth:`run` rebuilds the measurement on the other side.
+    Worker processes receive these (as JSON) instead of live
+    :class:`Measurement` objects; :meth:`run` rebuilds the measurement
+    on the other side.
     ``index`` is the cell's position in the serial execution order, so
     out-of-order parallel completions can be reassembled exactly.
     """
@@ -434,12 +431,10 @@ class RunDescriptor:
     size: int
     seed: int
     period: TimeOfDay
-    wifi_profile: Optional[object] = None
-    cell_profile: Optional[object] = None
     timeout: Optional[float] = None
     #: Protocol-event tracing mode (``off`` / ``ring`` / ``jsonl``) and
     #: the directory per-run trace files land in.  Plain strings, so
-    #: descriptors stay trivially picklable; they do not enter
+    #: descriptors stay JSON-safe; they do not enter
     #: :attr:`key`, so traced and untraced campaigns share journal
     #: entries and seeds.
     trace: str = "off"
@@ -466,13 +461,9 @@ class RunDescriptor:
         measurement = Measurement(self.spec, self.size, seed=self.seed,
                                   period=self.period,
                                   timeout=self.timeout,
-                                  wifi_profile=self.wifi_profile,
-                                  cell_profile=self.cell_profile,
                                   trace=self.trace,
                                   trace_path=self.trace_path(),
                                   metrics=self.metrics)
-        if instrumentation is None:
-            return measurement.run()
         return measurement.run(instrumentation=instrumentation)
 
 
@@ -532,10 +523,10 @@ class Campaign:
         #: Neither can change a single result byte — only wall-clock.
         self.cost_model = cost_model
         self.chunk = chunk
-        #: Execution backend: ``"pool"`` (single-host process pool) or
-        #: a distributed backend (``"subprocess"`` / ``"ssh"`` /
-        #: ``"tcp"``) where a TCP coordinator leases cells to ``repro
-        #: worker`` processes — possibly on other machines — and
+        #: How workers are spawned once ``jobs`` > 1 — ``"pool"``
+        #: (forked locally), ``"subprocess"`` / ``"ssh"`` (``repro
+        #: worker`` commands, possibly on other machines) or ``"tcp"``
+        #: (attached by hand); all lease cells from one coordinator and
         #: results stay byte-identical to serial execution.
         self.backend = backend
         self.hosts = hosts

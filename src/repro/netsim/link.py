@@ -36,13 +36,6 @@ from repro.sim.engine import Simulator
 #: scalar (zero batch-build overhead on idle links).
 _BATCH_MIN = 2
 
-#: Build-time outcome codes for packets of an active burst, kept so a
-#: mid-burst link-down can rewind the burst's precounted statistics.
-_DELIVERED = 0
-_LOSS = 1
-_ARQ_LOSS = 2
-_ARQ_RECOVERED = 3
-
 
 @dataclass(frozen=True)
 class ArqConfig:
@@ -146,19 +139,14 @@ class Link:
         self._modulated = (config.modulation is not None
                            and config.modulation.sigma != 0.0)
         #: Batched serving enabled?  Cleared by :meth:`disable_batching`
-        #: (mobility / shared-world owners) and by :meth:`set_down`.
+        #: (mobility / shared-world owners).
         self._vectorized = True
         # Active-burst bookkeeping.  While a burst is in flight the
         # packets are no longer in ``_queue``, so drop-tail admission
         # and occupancy reads reconstruct "bytes not yet in service"
         # from the burst's precomputed service-start times.
-        self._batch = None            # the engine-side _Batch handle
         self._batch_starts: Optional[list] = None  # service starts
-        self._batch_sizes: list = []
         self._batch_suffix: list = []  # suffix byte sums over starts
-        self._batch_entry_index: list = []  # packet -> delivery entry
-        self._batch_outcomes: list = []     # packet -> build outcome
-        self._batch_end = 0.0
 
     # ------------------------------------------------------------------
     # Public API
@@ -170,20 +158,17 @@ class Link:
         Models WiFi disassociation / walking out of AP range: packets
         already queued are flushed (they would be lost with the
         association state), and new offers are dropped until the link
-        comes back.
+        comes back.  A precomputed burst cannot follow an outage, so
+        the owner of a link that goes down pins it per-packet first
+        (:meth:`disable_batching`, at construction).
         """
+        if down and self._vectorized:
+            raise RuntimeError("disable_batching() first")
         self._down = down
         if down:
             self.stats.drops_down += len(self._queue)
             self._queue.clear()
             self._queue_bytes = 0
-            if self._batch_starts is not None:
-                self._abort_batch()
-            # A link that suffers outages is volatile: stay on the
-            # scalar pipeline from here on so post-recovery RNG draw
-            # sequences match the legacy path (mobility owners already
-            # pin their links at construction; this is the backstop).
-            self._vectorized = False
 
     def disable_batching(self) -> None:
         """Pin this link to the scalar per-packet pipeline.
@@ -392,8 +377,6 @@ class Link:
         starts = [0.0] * count
         delivery_times: list = []
         delivery_args: list = []
-        entry_index = [-1] * count
-        outcomes = [0] * count
         last = self._last_delivery_time
         t = now
         for j in range(count):
@@ -405,16 +388,13 @@ class Link:
                 delay += rng.expovariate(1.0 / jitter_mean)
             if loss_rate > 0.0 and rng.random() < loss_rate:
                 stats.drops_loss += 1
-                outcomes[j] = _LOSS
                 continue
             if arq_on:
                 if rng.random() < arq.error_rate:
                     if rng.random() < arq.residual_loss:
                         stats.drops_arq_residual += 1
-                        outcomes[j] = _ARQ_LOSS
                         continue
                     stats.arq_recoveries += 1
-                    outcomes[j] = _ARQ_RECOVERED
                     delay += rng.uniform(arq.recovery_min,
                                          arq.recovery_max)
             stats.packets_delivered += 1
@@ -424,7 +404,6 @@ class Link:
                 delivery_time = last
             else:
                 last = delivery_time
-            entry_index[j] = len(delivery_times)
             delivery_times.append(delivery_time)
             delivery_args.append(packets[j])
         self._last_delivery_time = last
@@ -434,72 +413,17 @@ class Link:
         for j in range(count - 1, -1, -1):
             total += sizes[j]
             suffix[j] = total
-        self._batch_sizes = sizes
         self._batch_starts = starts
         self._batch_suffix = suffix
-        self._batch_entry_index = entry_index
-        self._batch_outcomes = outcomes
-        self._batch_end = burst_end
         sim = self.sim
         if delivery_times:
-            self._batch = sim.post_batch(delivery_times, self.deliver,
-                                         delivery_args)
-        else:
-            self._batch = None
+            sim.post_batch(delivery_times, self.deliver, delivery_args)
         sim.post_at(burst_end, self._burst_done)
 
     def _burst_done(self) -> None:
         """End of a burst's serialization: resume normal serving."""
-        self._batch = None
         self._batch_starts = None
         self._serve_next()
-
-    def _abort_batch(self) -> None:
-        """Reconcile an in-flight burst with a link-down event.
-
-        Scalar semantics: packets whose service has not completed by
-        now are lost to the outage (queued ones immediately, the one
-        in service at its completion); packets already past service are
-        in the air and still deliver.  Rewind the burst's precounted
-        statistics for the former and revoke their delivery entries.
-        The RNG draws made for them at build time are not un-drawn --
-        volatile links are pinned scalar by their owners, so this path
-        only softens direct ``set_down`` use on a batching link.
-        """
-        starts = self._batch_starts
-        sizes = self._batch_sizes
-        outcomes = self._batch_outcomes
-        entries = self._batch_entry_index
-        end = self._batch_end
-        now = self.sim.now
-        stats = self.stats
-        count = len(starts)
-        first_entry = -1
-        for j in range(count):
-            completion = starts[j + 1] if j + 1 < count else end
-            if completion <= now:
-                continue
-            outcome = outcomes[j]
-            if outcome == _DELIVERED:
-                stats.packets_delivered -= 1
-                stats.bytes_delivered -= sizes[j]
-            elif outcome == _LOSS:
-                stats.drops_loss -= 1
-            elif outcome == _ARQ_LOSS:
-                stats.drops_arq_residual -= 1
-            else:
-                stats.packets_delivered -= 1
-                stats.bytes_delivered -= sizes[j]
-                stats.arq_recoveries -= 1
-            stats.drops_down += 1
-            if first_entry < 0 and entries[j] >= 0:
-                first_entry = entries[j]
-        if first_entry >= 0 and self._batch is not None:
-            self._batch.revoke_from(first_entry)
-        self._batch = None
-        self._batch_starts = None
-        # The burst-done continuation still fires at the original end
-        # of serialization and resumes (now scalar) service there.
 
     def _service_done(self, packet: Packet) -> None:
         self._propagate(packet)

@@ -116,6 +116,48 @@ def run_log_failovers(path) -> List[dict]:
             if record.get("event") == "lease_expired"]
 
 
+def _cell_record(descriptor, duration: Optional[float],
+                 worker: str) -> Dict[str, Any]:
+    """What ``finish`` and ``fail`` records say about their cell."""
+    return {"key": descriptor.key, "seed": descriptor.seed,
+            "spec": descriptor.spec.identity, "size": descriptor.size,
+            "duration_s": None if duration is None else round(duration, 6),
+            "worker": worker}
+
+
+def finish_record(descriptor, result, duration: Optional[float],
+                  events: int, worker: str) -> Dict[str, Any]:
+    """The fields of a ``finish`` record, whoever writes it (the
+    in-process loop's :class:`WorkerTelemetry` or the coordinator on a
+    worker's behalf).  ``size`` + ``duration_s`` make finish records
+    directly consumable as cost-model calibration samples
+    (:func:`run_log_wall_times`) without parsing the key; ``duration``
+    is ``None`` for a cell a worker served from its local cache."""
+    record = dict(_cell_record(descriptor, duration, worker),
+                  events=events, completed=result.completed,
+                  download_time=result.download_time)
+    world = getattr(result, "world", None)
+    if world is not None:
+        # Shared-world cells carry the background summary so analytics
+        # can join foreground SLA against background load straight
+        # from the run log.
+        record["world"] = {
+            "flows_started": world.get("flows_started"),
+            "flows_completed": world.get("flows_completed"),
+            "peak_concurrent": world.get("peak_concurrent"),
+            "bg_goodput_bps": world.get("bg_goodput_bps"),
+        }
+    return record
+
+
+def fail_record(descriptor, error: str, worker: str,
+                duration: Optional[float] = None) -> Dict[str, Any]:
+    """The fields of a ``fail`` record: the cell's key, seed and
+    FlowSpec identity next to the error text."""
+    return dict(_cell_record(descriptor, duration, worker),
+                period=descriptor.period.value, error=error)
+
+
 # ----------------------------------------------------------------------
 # Heartbeats
 # ----------------------------------------------------------------------
@@ -209,29 +251,8 @@ class WorkerTelemetry:
         self.busy_s += duration
         self.current = None
         if self.run_log is not None:
-            # ``size`` + ``duration_s`` make finish records directly
-            # consumable as cost-model calibration samples
-            # (:func:`run_log_wall_times`) without parsing the key.
-            extra = {}
-            world = getattr(result, "world", None)
-            if world is not None:
-                # Shared-world cells carry the background summary so
-                # analytics can join foreground SLA against background
-                # load straight from the run log.
-                extra["world"] = {
-                    "flows_started": world.get("flows_started"),
-                    "flows_completed": world.get("flows_completed"),
-                    "peak_concurrent": world.get("peak_concurrent"),
-                    "bg_goodput_bps": world.get("bg_goodput_bps"),
-                }
-            self.run_log.log("finish", key=descriptor.key,
-                             seed=descriptor.seed,
-                             spec=descriptor.spec.identity,
-                             size=descriptor.size,
-                             duration_s=round(duration, 6), events=events,
-                             completed=result.completed,
-                             download_time=result.download_time,
-                             worker=self.label, **extra)
+            self.run_log.log("finish", **finish_record(
+                descriptor, result, duration, events, self.label))
         self._beat()
 
     def run_failed(self, descriptor, duration: float,
@@ -239,13 +260,8 @@ class WorkerTelemetry:
         """A run raised: leave a fail record naming seed and identity."""
         self.current = None
         if self.run_log is not None:
-            self.run_log.log("fail", key=descriptor.key,
-                             seed=descriptor.seed,
-                             spec=descriptor.spec.identity,
-                             size=descriptor.size,
-                             period=descriptor.period.value,
-                             duration_s=round(duration, 6),
-                             error=repr(error), worker=self.label)
+            self.run_log.log("fail", **fail_record(
+                descriptor, repr(error), self.label, duration))
         self._beat()
 
     def _beat(self) -> None:

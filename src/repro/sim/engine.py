@@ -98,13 +98,10 @@ class _Batch:
     ``times`` must be nondecreasing; ``args[i]`` is passed to
     ``callback`` when entry ``i`` fires.  ``idx`` is the next entry to
     fire *whenever the batch is not the event currently executing* (it
-    is re-synced on every push-back).  ``dead`` optionally holds entry
-    indices revoked after posting (a link going down mid-burst): they
-    are skipped, preserving the engine's time ordering without heap
-    surgery.
+    is re-synced on every push-back).
     """
 
-    __slots__ = ("times", "callback", "args", "idx", "seq", "dead")
+    __slots__ = ("times", "callback", "args", "idx", "seq")
 
     def __init__(self, times, callback, args, seq: int) -> None:
         self.times = times
@@ -112,14 +109,6 @@ class _Batch:
         self.args = args
         self.idx = 0
         self.seq = seq
-        self.dead: Optional[set] = None
-
-    def revoke_from(self, index: int) -> None:
-        """Mark entries ``index`` .. end as dead (never fired)."""
-        dead = self.dead
-        if dead is None:
-            dead = self.dead = set()
-        dead.update(range(index, len(self.times)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<_Batch {self.idx}/{len(self.times)} "
@@ -356,10 +345,9 @@ class Simulator:
         caller had pre-allocated it and issued ``post_at`` per entry --
         so ties against unrelated events resolve by when the *burst*
         was posted, and entries within the burst keep list order.
-        Entries cannot be cancelled individually, but the returned
-        :class:`_Batch` supports :meth:`_Batch.revoke_from` for the
-        link-down case.  ``times`` must be sorted ascending (the caller
-        guarantees it; links clamp deliveries FIFO anyway).
+        Entries cannot be cancelled.  ``times`` must be sorted
+        ascending (the caller guarantees it; links clamp deliveries
+        FIFO anyway).
         """
         n = len(times)
         if n == 0:
@@ -394,11 +382,9 @@ class Simulator:
         times = batch.times
         args = batch.args
         callback = batch.callback
-        dead = batch.dead
         i = batch.idx
         n = len(times)
-        if dead is None or i not in dead:
-            callback(args[i])
+        callback(args[i])
         i += 1
         queue = self._queue
         if not self._running:
@@ -412,7 +398,6 @@ class Simulator:
         limit = self._batch_limit
         seq = batch.seq
         inline = 0
-        dead = batch.dead
         while i < n:
             t = times[i]
             if t > limit:
@@ -425,9 +410,7 @@ class Simulator:
             self.events_processed += 1
             self._live -= 1
             inline += 1
-            if dead is None or i not in dead:
-                callback(args[i])
-                dead = batch.dead  # a callback may revoke the rest
+            callback(args[i])
             i += 1
         if inline:
             self.batch_inline += inline

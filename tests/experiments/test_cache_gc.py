@@ -1,6 +1,5 @@
-"""Run-cache maintenance: object export/import/sync and garbage
-collection (the machinery under ``repro cache gc`` and the worker
-publish path)."""
+"""Run-cache maintenance: garbage collection (the machinery under
+``repro cache gc``)."""
 
 import json
 import os
@@ -9,6 +8,7 @@ import time
 import pytest
 
 from repro.cache import RunCache
+from repro.cache.store import cache_digest
 from repro.experiments.config import FlowSpec
 from repro.experiments.runner import Campaign, CampaignSpec
 from repro.experiments.storage import result_to_dict
@@ -29,60 +29,6 @@ def baseline():
 
 def full_dicts(results):
     return [result_to_dict(result, max_samples=None) for result in results]
-
-
-# ----------------------------------------------------------------------
-# Export / import / sync
-# ----------------------------------------------------------------------
-
-def test_export_import_round_trip(tmp_path, baseline):
-    with RunCache(tmp_path / "a") as source, \
-            RunCache(tmp_path / "b") as target:
-        result = baseline[0]
-        source.put(result)
-        key = source.key_of(result)
-        wrapper = source.export_object(key)
-        assert wrapper["key"] == key
-        assert target.import_object(wrapper)
-        assert not target.import_object(wrapper), "imports are idempotent"
-        restored = target.get(key)
-    assert full_dicts([restored]) == full_dicts([result])
-
-
-def test_export_missing_key_is_none(tmp_path):
-    with RunCache(tmp_path / "a") as cache:
-        assert cache.export_object("no|such|key|cell") is None
-
-
-def test_import_rejects_foreign_format_version(tmp_path, baseline):
-    with RunCache(tmp_path / "a") as source, \
-            RunCache(tmp_path / "b") as target:
-        source.put(baseline[0])
-        wrapper = source.export_object(source.key_of(baseline[0]))
-        wrapper["format_version"] += 1
-        with pytest.raises(ValueError, match="format version"):
-            target.import_object(wrapper)
-
-
-def test_missing_names_only_absent_digests(tmp_path, baseline):
-    with RunCache(tmp_path / "a") as cache:
-        cache.put(baseline[0])
-        held = cache.digest_of(cache.key_of(baseline[0]))
-        absent = cache.digest_of("other|1|2|day")
-        assert cache.missing([held, absent]) == [absent]
-
-
-def test_sync_into_copies_only_whats_missing(tmp_path, baseline):
-    with RunCache(tmp_path / "a") as source, \
-            RunCache(tmp_path / "b") as target:
-        for result in baseline:
-            source.put(result)
-        target.put(baseline[0])             # already holds one
-        assert source.sync_into(target) == len(baseline) - 1
-        assert source.sync_into(target) == 0, "second sync is a no-op"
-        for result in baseline:
-            restored = target.get(target.key_of(result))
-            assert full_dicts([restored]) == full_dicts([result])
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +91,8 @@ def test_gc_drops_dangling_index_lines(tmp_path, baseline):
         for result in baseline:
             cache.put(result)
         victim = cache.key_of(baseline[0])
-        cache._object_path(cache.digest_of(victim)).unlink()
+        cache._object_path(
+            cache_digest(victim, cache.format_version)).unlink()
         stats = cache.gc()
         assert stats["dangling_index_lines"] == 1
         assert stats["entries_kept"] == len(baseline) - 1
@@ -160,8 +107,8 @@ def test_gc_older_than_prunes_stale_entries(tmp_path, baseline):
     with RunCache(tmp_path / "cache") as cache:
         for result in baseline:
             cache.put(result)
-        old = cache._object_path(cache.digest_of(
-            cache.key_of(baseline[0])))
+        old = cache._object_path(cache_digest(
+            cache.key_of(baseline[0]), cache.format_version))
         stale = time.time() - 10 * 86400
         os.utime(old, (stale, stale))
         stats = cache.gc(older_than_s=7 * 86400)

@@ -1,8 +1,5 @@
-"""Cost-aware dispatch: the cost model, LJF ordering, chunking, the
-bounded in-flight submission window, and affinity-aware job counts."""
-
-import threading
-from concurrent.futures import ThreadPoolExecutor
+"""Cost-aware dispatch: the cost model and its calibration, LJF
+ordering, chunking, and affinity-aware job counts."""
 
 import pytest
 
@@ -216,44 +213,19 @@ def test_dispatch_paths_equal_serial(kwargs):
 
 
 # ----------------------------------------------------------------------
-# Bounded in-flight window
+# Calibration: every executed cell feeds the cost model, on every path
 # ----------------------------------------------------------------------
 
-class _TrackingPool(ThreadPoolExecutor):
-    """A pool that records the peak number of in-flight futures."""
-
-    peak = 0
-
-    def __init__(self, max_workers=None, **kwargs):
-        super().__init__(max_workers=max_workers)
-        self._lock = threading.Lock()
-        self._outstanding = 0
-
-    def submit(self, fn, *args, **kwargs):
-        with self._lock:
-            self._outstanding += 1
-            _TrackingPool.peak = max(_TrackingPool.peak,
-                                     self._outstanding)
-        future = super().submit(fn, *args, **kwargs)
-
-        def note_done(_):
-            with self._lock:
-                self._outstanding -= 1
-
-        future.add_done_callback(note_done)
-        return future
-
-
-def test_inflight_futures_never_exceed_jobs_times_window(monkeypatch):
-    """Satellite: submission is streamed — the whole plan is never
-    materialized as futures upfront."""
-    wifi = FlowSpec.single_path("wifi")
-    plan = [_descriptor(index, wifi, 8 * KB, seed=index)
-            for index in range(12)]
-    monkeypatch.setattr(parallel_module, "_pool_factory", _TrackingPool)
-    _TrackingPool.peak = 0
-    jobs = 2
-    serial = [descriptor.run() for descriptor in plan]
-    windowed = execute_plan(plan, jobs=jobs)
-    assert 0 < _TrackingPool.peak <= jobs * parallel_module._WINDOW
-    assert full_dicts(windowed) == full_dicts(serial)
+@pytest.mark.parametrize("kwargs", [
+    dict(jobs=1),
+    dict(jobs=2),
+    dict(jobs=2, backend="subprocess"),
+], ids=["serial", "pool", "subprocess"])
+def test_every_path_calibrates_the_cost_model(kwargs):
+    """No run log, heartbeats or profile asked for: the shared model of
+    a default ``repro all`` must still learn from the cells it ran."""
+    plan = Campaign(small_campaign()).plan()
+    model = CostModel()
+    execute_plan(plan, cost_model=model, **kwargs)
+    assert model.calibrated == len({(cell.spec.identity, cell.size)
+                                    for cell in plan})

@@ -1,24 +1,29 @@
-"""Distributed backend: lease queue, wire protocol, and end-to-end
-coordinator/worker campaigns (byte-identity, failover, warm reruns)."""
+"""The executor: lease queue, wire protocol, and end-to-end
+coordinator/worker campaigns on every backend (byte-identity,
+failover, warm reruns, single-writer stores, clean teardown)."""
 
+import dataclasses
 import io
+import multiprocessing
+import os
 import socket
 import threading
 
 import pytest
 
 from repro.cache import RunCache
-from repro.experiments import storage
+from repro.experiments import distributed, storage
 from repro.experiments.config import FlowSpec
 from repro.experiments.distributed import (
     LeaseQueue,
     _KILL_AFTER_ENV,
     Coordinator,
-    _execute_chunk,
-    spawn_subprocess_workers,
-    _reap,
+    DistributedExecutionError,
+    reap,
+    run_worker,
+    spawn_workers,
 )
-from repro.experiments.parallel import execute_descriptor_ex
+from repro.experiments.parallel import execute_plan, run_cell
 from repro.experiments.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -31,7 +36,8 @@ from repro.experiments.protocol import (
     send_message,
 )
 from repro.experiments.runner import Campaign, CampaignSpec
-from repro.experiments.storage import result_to_dict
+from repro.experiments.storage import ResultJournal, result_to_dict
+from repro.perf import Instrumentation
 from repro.obs.telemetry import RunLog, run_log_failovers
 from repro.wireless.profiles import TimeOfDay
 
@@ -152,7 +158,7 @@ def test_descriptor_codec_round_trip():
 
 def test_result_wrapper_is_full_fidelity():
     descriptor = Campaign(small_campaign()).plan()[0]
-    result, _report, _wall = execute_descriptor_ex(descriptor)
+    result, _report, _wall = run_cell(descriptor)
     wrapper = result_wrapper(descriptor.key, result)
     assert wrapper["format_version"] == storage.FORMAT_VERSION
     clone = result_from_wrapper(wrapper)
@@ -167,7 +173,7 @@ def test_coordinator_rejects_version_mismatch():
     plan = Campaign(small_campaign()).plan()
     coordinator = Coordinator(plan, [], total=0,
                               is_filled=lambda p: True,
-                              finish=lambda p, r: None)
+                              deliver=lambda *cell: None)
     try:
         coordinator.start()
         with socket.create_connection(coordinator.address,
@@ -219,7 +225,8 @@ def test_warm_distributed_rerun_is_all_cache_hits(tmp_path):
     assert full_dicts(warm) == full_dicts(serial)
 
 
-def test_worker_death_fails_over_and_results_are_identical(tmp_path):
+def test_worker_death_fails_over_and_results_are_identical(tmp_path,
+                                                           monkeypatch):
     """SIGKILL a worker mid-chunk: its lease expires, the chunk is
     refronted to the surviving worker, the run log records the
     failover, and the results are still byte-identical to serial."""
@@ -231,32 +238,23 @@ def test_worker_death_fails_over_and_results_are_identical(tmp_path):
     campaign = Campaign(spec, backend="tcp", jobs=1, chunk=1,
                         bind=f"127.0.0.1:{port}", lease_timeout=1.5,
                         run_log=str(run_log))
-    import threading
-    box = {}
-
-    def drive():
-        try:
-            box["results"] = campaign.run()
-        except BaseException as error:  # surfaced after join
-            box["error"] = error
-
-    thread = threading.Thread(target=drive, daemon=True)
-    thread.start()
+    thread, box = _run_in_thread(campaign)
 
     address = ("127.0.0.1", port)
     # The victim arms the self-SIGKILL hook: it dies after executing
     # its first cell, before publishing anything.
-    victim = spawn_subprocess_workers(
-        address, count=1, extra_env={_KILL_AFTER_ENV: "1"})
+    monkeypatch.setenv(_KILL_AFTER_ENV, "1")
+    victim = spawn_workers("subprocess", address, jobs=1)
+    monkeypatch.delenv(_KILL_AFTER_ENV)
     victim[0].wait(timeout=120)
     assert victim[0].returncode == -9           # really SIGKILLed
 
-    survivor = spawn_subprocess_workers(address, count=1)
+    survivor = spawn_workers("subprocess", address, jobs=1)
     try:
         thread.join(timeout=120)
         assert not thread.is_alive(), "campaign did not drain"
     finally:
-        _reap(survivor)
+        reap(survivor)
     assert "error" not in box, box.get("error")
     assert full_dicts(box["results"]) == full_dicts(serial)
 
@@ -278,16 +276,31 @@ def _free_port():
         return probe.getsockname()[1]
 
 
+def _run_in_thread(campaign):
+    """Drive ``campaign.run()`` off-thread (a ``tcp`` coordinator waits
+    for workers this thread attaches); returns (thread, box)."""
+    box = {}
+
+    def drive():
+        try:
+            box["results"] = campaign.run()
+        except BaseException as error:  # surfaced after join
+            box["error"] = error
+
+    thread = threading.Thread(target=drive, daemon=True)
+    thread.start()
+    return thread, box
+
+
 def test_failed_cell_aborts_the_campaign():
     """A cell that raises on the worker surfaces as a campaign error,
     not a hang or a silent hole in the results."""
     spec = small_campaign()
     plan = Campaign(spec).plan()
 
-    from repro.experiments.distributed import DistributedExecutionError
     coordinator = Coordinator(plan, [[0]], total=len(plan),
                               is_filled=lambda p: False,
-                              finish=lambda p, r: None)
+                              deliver=lambda *cell: None)
     try:
         coordinator.start()
         with socket.create_connection(coordinator.address,
@@ -311,42 +324,192 @@ def test_failed_cell_aborts_the_campaign():
         coordinator.close()
 
 
-class _Boom:
-    """A cell that raises when run (module-level: the pool pickles it)."""
-
-    key = "boom"
-
-    def run(self, instrumentation=None):
-        raise ValueError("boom")
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_failed_message_names_the_cell_that_raised(jobs):
+@pytest.mark.parametrize("boom_at", [1, 2])
+def test_failed_message_names_the_cell_that_raised(boom_at, tmp_path):
     """In a multi-cell chunk the worker must blame the cell that
     raised, not the chunk's first cell."""
-    good = Campaign(small_campaign()).plan()[0]
-    worker_end, coordinator_end = socket.socketpair()
+    positions = [4, 9, 11]
+    cells = list(Campaign(small_campaign()).plan()[:3])
+    # Fails in set-up, through its own fields: no such trace directory.
+    cells[boom_at] = dataclasses.replace(
+        cells[boom_at], trace="jsonl", trace_dir=str(tmp_path / "boom"))
+    listener = socket.create_server(("127.0.0.1", 0))
     failed = []
 
     def coordinator():
-        while not failed:
-            message = recv_message(coordinator_end)
-            if message["type"] == "failed":
-                failed.append(message)
-                send_message(coordinator_end, {"type": "abort"})
-            else:
-                send_message(coordinator_end, {"type": "ok", "valid": True})
+        conn, _ = listener.accept()
+        with conn:
+            assert recv_message(conn)["type"] == "hello"
+            send_message(conn, {"type": "welcome"})
+            assert recv_message(conn)["type"] == "lease"
+            send_message(conn, {
+                "type": "work", "lease": 1, "positions": positions,
+                "cells": [descriptor_to_dict(cell) for cell in cells]})
+            while not failed:
+                message = recv_message(conn)
+                if message["type"] == "failed":
+                    failed.append(message)
+                    send_message(conn, {"type": "abort"})
+                else:
+                    send_message(conn, {"type": "ok", "valid": True})
 
     peer = threading.Thread(target=coordinator, daemon=True)
     peer.start()
     try:
-        rows = _execute_chunk(worker_end, 1, "t", [(4, good), (9, _Boom())],
-                              jobs, None, 0, 0, io.StringIO())
+        port = listener.getsockname()[1]
+        status = run_worker(f"127.0.0.1:{port}", stream=io.StringIO())
         peer.join(timeout=30.0)
         assert not peer.is_alive()
     finally:
-        worker_end.close()
-        coordinator_end.close()
-    assert rows is None
-    assert [message["position"] for message in failed] == [9]
+        listener.close()
+    assert status == 1
+    assert [message["position"] for message in failed] == \
+        [positions[boom_at]]
     assert "boom" in failed[0]["error"]
+
+
+# ----------------------------------------------------------------------
+# One executor, whatever spawns the workers
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", ["pool", "tcp"])
+def test_backend_equals_serial_and_reruns_warm(backend, tmp_path):
+    """Forked workers and workers attached by hand lease from the same
+    coordinator: cold bytes equal serial, the warm rerun is all hits."""
+    spec = small_campaign()
+    serial = Campaign(spec, jobs=1).run()
+    port = _free_port()
+    with RunCache(tmp_path / "cache") as cache:
+        campaign = Campaign(spec, backend=backend, jobs=2, cache=cache,
+                            bind=f"127.0.0.1:{port}")
+        if backend == "tcp":
+            thread, box = _run_in_thread(campaign)
+            attached = spawn_workers("subprocess", ("127.0.0.1", port),
+                                     jobs=2)
+            try:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "campaign did not drain"
+            finally:
+                reap(attached)
+            assert "error" not in box, box.get("error")
+            cold = box["results"]
+        else:
+            cold = campaign.run()
+        assert cache.hits == 0
+        warm = campaign.run()       # all restored: nothing is spawned
+        assert cache.hits == spec.total_runs()
+    assert full_dicts(cold) == full_dicts(serial)
+    assert full_dicts(warm) == full_dicts(serial)
+
+
+def test_pool_worker_sigkill_fails_over(tmp_path, monkeypatch):
+    """SIGKILL one of two ``backend="pool"`` workers mid-chunk: its
+    connection drops, its lease is refronted to the sibling, and the
+    campaign completes byte-identical to serial."""
+    spec = small_campaign()
+    serial = Campaign(spec, jobs=1).run()
+    run_log = tmp_path / "run_log.jsonl"
+    real_worker = distributed.run_worker
+
+    def first_worker_dies(connect, label, **kwargs):
+        # Runs in the forked worker: only worker ".0" arms the hook.
+        if label.endswith(".0"):
+            os.environ[_KILL_AFTER_ENV] = "1"
+        return real_worker(connect, label=label, **kwargs)
+
+    monkeypatch.setattr(distributed, "run_worker", first_worker_dies)
+    results = Campaign(spec, jobs=2, chunk=2, run_log=str(run_log)).run()
+    assert full_dicts(results) == full_dicts(serial)
+    failovers = run_log_failovers(run_log)
+    assert failovers, "no lease_expired record after worker death"
+    assert all(record["worker"].endswith(".0") for record in failovers)
+    finished = {record["key"] for record in RunLog.read(run_log)
+                if record["event"] == "finish"}
+    assert {cell for record in failovers
+            for cell in record["cells"]} <= finished
+    assert len(finished) == spec.total_runs()
+
+
+def test_campaign_fails_when_every_spawned_worker_died(monkeypatch):
+    """Failover needs a survivor: with both forked workers SIGKILLed
+    (they inherit the armed hook) the campaign is an error, not a
+    hang."""
+    monkeypatch.setenv(_KILL_AFTER_ENV, "1")
+    with pytest.raises(DistributedExecutionError, match="workers exited"):
+        Campaign(small_campaign(), jobs=2, lease_timeout=0.4).run()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_reports_travel_the_wire():
+    """``instrumentation=`` under ``backend="subprocess"``: each
+    publish row carries the cell's report, merged on this side."""
+    plan = Campaign(small_campaign()).plan()
+    reference = Instrumentation()
+    for descriptor in plan:
+        descriptor.run(instrumentation=reference)
+    merged = Instrumentation()
+    execute_plan(plan, jobs=2, backend="subprocess",
+                 instrumentation=merged)
+    assert set(merged.phases) == {"setup", "simulate", "extract"}
+    assert all(seconds > 0.0 for seconds in merged.phases.values())
+    assert merged.counters["events_processed"] == \
+        reference.counters["events_processed"]
+
+
+class _ThreadRecorder:
+    """A cache / journal stand-in that notes which thread enters it."""
+
+    def __init__(self, store, idents):
+        self._store = store
+        self._idents = idents
+
+    def __getattr__(self, name):
+        method = getattr(self._store, name)
+
+        def noted(*args):
+            self._idents.add(threading.get_ident())
+            return method(*args)
+
+        return noted
+
+
+def test_stores_are_entered_from_the_calling_thread_only(tmp_path):
+    idents = set()
+    plan = Campaign(small_campaign()).plan()
+    with RunCache(tmp_path / "cache") as cache, \
+            ResultJournal(tmp_path / "journal.jsonl") as journal:
+        execute_plan(plan, jobs=2,
+                     cache=_ThreadRecorder(cache, idents),
+                     journal=_ThreadRecorder(journal, idents),
+                     progress=lambda *tick:
+                         idents.add(threading.get_ident()))
+        assert cache.puts == len(plan) == len(journal)
+    assert idents == {threading.get_ident()}
+
+
+def _assert_nothing_left_behind(port):
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5.0)
+
+
+def test_interrupt_leaves_no_worker_or_listener_behind():
+    port = _free_port()
+
+    def interrupt(done, total, result):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        Campaign(small_campaign(), jobs=2, progress=interrupt,
+                 bind=f"127.0.0.1:{port}").run()
+    _assert_nothing_left_behind(port)
+
+
+def test_failing_cell_leaves_no_worker_or_listener_behind(tmp_path):
+    port = _free_port()
+    campaign = Campaign(small_campaign(), jobs=2, trace="jsonl",
+                        trace_dir=str(tmp_path / "missing"),
+                        bind=f"127.0.0.1:{port}")
+    with pytest.raises(DistributedExecutionError, match="missing"):
+        campaign.run()
+    _assert_nothing_left_behind(port)

@@ -1,9 +1,11 @@
 """Serial-vs-parallel equivalence and resumable execution."""
 
+import dataclasses
 import warnings
 
 import pytest
 
+from repro.cache import CostModel
 from repro.experiments import runner as runner_module
 from repro.experiments.config import FlowSpec
 from repro.experiments.parallel import execute_plan
@@ -72,9 +74,9 @@ def test_resume_skips_completed_cells(tmp_path, monkeypatch):
     executed = []
     real_run = runner_module.Measurement.run
 
-    def counting_run(self):
+    def counting_run(self, instrumentation=None):
         executed.append((self.spec, self.size))
-        return real_run(self)
+        return real_run(self, instrumentation=instrumentation)
 
     monkeypatch.setattr(runner_module.Measurement, "run", counting_run)
     resumed = Campaign(spec, jobs=1, journal=journal_path).run()
@@ -121,31 +123,30 @@ def test_resume_tolerates_truncated_journal(tmp_path):
     reopened.close()
 
 
-class _BoomDescriptor:
-    """A picklable campaign cell whose run always fails."""
-
-    key = "boom-cell"
-    index = -1
-
-    def run(self):
-        raise RuntimeError("boom")
-
-
 def test_worker_failure_journals_finished_runs(tmp_path):
     """A failed worker must not discard siblings that completed while
     it was failing: their results land in the journal before the error
     propagates, so a re-invocation resumes instead of recomputing."""
     spec = small_campaign()
     plan = Campaign(spec).plan()
-    cells = [_BoomDescriptor()] + list(plan[:3])
+    # The cheapest cell is leased last (longest job first); it fails in
+    # set-up, through its own fields: its trace directory is missing.
+    boom = min(plan, key=CostModel().estimate)
+    cells = [dataclasses.replace(cell, trace="jsonl",
+                                 trace_dir=str(tmp_path / "boom"))
+             if cell is boom else cell for cell in plan]
     journal_path = tmp_path / "journal.jsonl"
-    with pytest.raises(RuntimeError, match="boom"):
+    with pytest.raises(RuntimeError, match="boom") as failure:
         execute_plan(cells, jobs=2, journal=journal_path)
-    # Pool shutdown drains the three healthy cells; all must be kept.
+    # One failure story: the error names the cell that raised.
+    for named in (boom.key, str(boom.seed), boom.spec.identity):
+        assert named in str(failure.value)
+    # The coordinator lets the sibling finish the chunk it holds; all
+    # three healthy cells must be kept.
     journal = ResultJournal(journal_path)
     assert journal.restored == 3
-    for descriptor in plan[:3]:
-        assert descriptor.key in journal
+    for descriptor in plan:
+        assert (descriptor.key in journal) == (descriptor is not boom)
     journal.close()
 
 

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from repro.experiments.config import FlowSpec
-from repro.experiments.runner import Measurement, run_key
+from repro.experiments.runner import Measurement, descriptor_key
 from repro.experiments.scenarios import download_time_rows, \
     traffic_share_rows
 from repro.experiments.storage import (
@@ -191,9 +191,9 @@ def test_load_raises_on_corrupt_middle_line(tmp_path, sample_results):
 def test_run_key_distinguishes_ablation_specs():
     a = FlowSpec.mptcp(carrier="att", scheduler="minrtt")
     b = FlowSpec.mptcp(carrier="att", scheduler="roundrobin")
-    assert a.label == b.label  # the ambiguity run_key must survive
-    assert run_key(a, 8 * KB, 1, TimeOfDay.NIGHT) != \
-        run_key(b, 8 * KB, 1, TimeOfDay.NIGHT)
+    assert a.label == b.label  # the ambiguity the key must survive
+    assert descriptor_key(a, 8 * KB, 1, TimeOfDay.NIGHT) != \
+        descriptor_key(b, 8 * KB, 1, TimeOfDay.NIGHT)
 
 
 def test_journal_round_trip(tmp_path, sample_results):
@@ -205,7 +205,8 @@ def test_journal_round_trip(tmp_path, sample_results):
     reloaded = ResultJournal(path)
     assert reloaded.restored == 2
     for result in sample_results:
-        key = run_key(result.spec, result.size, result.seed, result.period)
+        key = descriptor_key(result.spec, result.size, result.seed,
+                             result.period)
         assert key in reloaded
         cached = reloaded.get(key)
         assert result_to_dict(cached, max_samples=None) == \

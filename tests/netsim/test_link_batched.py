@@ -164,6 +164,27 @@ def test_long_clean_burst_matches_per_packet():
     assert batched == legacy
 
 
+def test_link_that_still_batches_refuses_to_go_down():
+    """A precomputed burst cannot follow an outage, and nothing tries
+    to make it: the owner of a link that goes down pins it per-packet
+    first (``InterfaceOutage`` does, at construction)."""
+    sim, link, _ = _counting_link(None)
+    with pytest.raises(RuntimeError, match="disable_batching"):
+        link.set_down(True)
+    assert not link.is_down
+    link.disable_batching()
+    link.send(Packet("a", "b", Segment(src_port=1, dst_port=2,
+                                       payload_len=1000)))
+    link.send(Packet("a", "b", Segment(src_port=1, dst_port=2,
+                                       payload_len=1000)))
+    link.set_down(True)
+    assert link.is_down
+    assert link.stats.drops_down == 1, "the queued packet is flushed"
+    sim.run()
+    assert link.stats.drops_down == 2, "the one in service dies with it"
+    assert link.stats.packets_delivered == 0
+
+
 # ----------------------------------------------------------------------
 # Across links: what is *not* guaranteed
 # ----------------------------------------------------------------------

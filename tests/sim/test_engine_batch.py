@@ -1,6 +1,6 @@
 """Tests for ``Simulator.post_batch``: one heap entry per burst, inline
-draining during run(), step()/until semantics, revocation, and the
-batch telemetry counters feeding ``--profile``."""
+draining during run(), step()/until semantics, and the batch
+telemetry counters feeding ``--profile``."""
 
 import pytest
 
@@ -85,34 +85,6 @@ def test_run_until_splits_a_batch():
     assert sim.now == 2.0
     sim.run()
     assert seen[-1] == (3.0, "c")
-
-
-def test_revoke_from_suppresses_the_tail():
-    sim = Simulator()
-    seen = []
-    batch = sim.post_batch([1.0, 2.0, 3.0, 4.0], seen.append,
-                           ["a", "b", "c", "d"])
-    batch.revoke_from(2)
-    sim.run()
-    assert seen == ["a", "b"]
-
-
-def test_callback_may_revoke_the_rest_of_its_own_batch():
-    """The link-down case: a delivery callback tears the link down and
-    revokes the not-yet-delivered suffix mid-drain."""
-    sim = Simulator()
-    seen = []
-    holder = {}
-
-    def deliver(tag):
-        seen.append(tag)
-        if tag == "b":
-            holder["batch"].revoke_from(2)
-
-    holder["batch"] = sim.post_batch([1.0, 1.0, 1.0, 1.0], deliver,
-                                     ["a", "b", "c", "d"])
-    sim.run()
-    assert seen == ["a", "b"]
 
 
 def test_post_batch_rejects_empty_and_past_times():
