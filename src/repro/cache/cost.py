@@ -27,10 +27,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Heuristic constants, loosely calibrated against the vectorized
-#: packet core on the development machine (a 2 MB SP-WiFi run ~0.11 s,
-#: a 2 MB MP-2 run ~0.17 s, a 16 MB SP-WiFi run ~0.9 s).  Only the
-#: *ranking* of cells matters for dispatch, not the absolute scale.
+#: Heuristic constants, loosely calibrated on the development machine.
+#: Last re-timed against the current packet path: a 2 MB SP-WiFi run
+#: ~0.09 s, a 2 MB MP-2 run ~0.14 s, a 16 MB SP-WiFi run ~0.54 s, for
+#: which these constants say 0.11 / 0.18 / 0.70 s -- high by a quarter
+#: and in the same order.  Only the *ranking* of cells matters for
+#: dispatch, not the absolute scale, so they stay.
 SETUP_COST_S = 0.03
 PER_BYTE_COST_S = 4.0e-8
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.coupling import make_controller
-from repro.core.options import MptcpOptions
+from repro.core.options import DssMapping, MptcpOptions
 from repro.core.receive_buffer import ConnectionReceiveBuffer
 from repro.core.scheduler import make_scheduler
 from repro.core.subflow import Subflow
@@ -653,13 +653,18 @@ class MptcpConnection:
     # Options plumbing (called by subflows)
     # ------------------------------------------------------------------
 
-    def data_ack_value(self) -> int:
-        return self.receive_buffer.rcv_nxt
-
-    def data_fin_to_signal(self) -> Optional[int]:
-        if self._close_requested:
-            return self.total_queued
-        return None
+    def signal_options(self, dss: Optional[DssMapping],
+                       mp_fail: bool) -> MptcpOptions:
+        """The option block of one segment of a live MPTCP subflow: the
+        DATA_ACK, a data segment's mapping, and whatever connection
+        signal is pending (DATA_FIN, dead addresses)."""
+        return MptcpOptions(
+            dss=dss,
+            data_ack=self.receive_buffer.rcv_nxt,
+            data_fin_dsn=(self.total_queued if self._close_requested
+                          else None),
+            dead_addrs=self.dead_addrs_to_signal(),
+            mp_fail=mp_fail)
 
     def has_pending_data(self) -> bool:
         """True while this side's stream could still produce data for

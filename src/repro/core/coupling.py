@@ -24,7 +24,7 @@ formulas are evaluated in packet (MSS) units as in the kernel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol
+from typing import Dict, List, Protocol, Tuple
 
 
 class WindowedFlow(Protocol):
@@ -110,27 +110,29 @@ class CoupledController(CongestionController):
 
     name = "coupled"
 
-    def _alpha(self) -> float:
-        """RFC 6356 aggressiveness factor, in packet units."""
-        total = 0.0
-        best = 0.0
-        denominator = 0.0
-        for flow in self.flows:
-            window = self._window_packets(flow)
-            rtt = max(flow.smoothed_rtt(), 1e-4)
-            total += window
-            best = max(best, window / (rtt * rtt))
-            denominator += window / rtt
-        if denominator <= 0.0:
-            return 1.0
-        return total * best / (denominator * denominator)
-
     def _increase(self, flow: WindowedFlow, acked_bytes: int) -> None:
+        # RFC 6356 in packet units, from one pass over the coupled
+        # flows: w, max_i(w_i / rtt_i^2) and sum_i(w_i / rtt_i).  The
+        # window and RTT clamps (``_window_packets``, a 0.1 ms floor)
+        # are written out: this runs per flow per ACK.
+        total = best = denominator = 0.0
+        for peer in self.flows:
+            peer_window = peer.cwnd / peer.mss
+            if peer_window < 1.0:
+                peer_window = 1.0
+            rtt = peer.smoothed_rtt()
+            if rtt < 1e-4:
+                rtt = 1e-4
+            total += peer_window
+            ratio = peer_window / (rtt * rtt)
+            if ratio > best:
+                best = ratio
+            denominator += peer_window / rtt
+        alpha = (total * best / (denominator * denominator)
+                 if denominator > 0.0 else 1.0)
         window = self._window_packets(flow)
-        total = sum(self._window_packets(peer) for peer in self.flows)
         if total <= 0.0:
             total = window
-        alpha = self._alpha()
         acked_packets = acked_bytes / flow.mss
         increase_packets = min(alpha / total, 1.0 / window) * acked_packets
         flow.cwnd += increase_packets * flow.mss
@@ -180,43 +182,55 @@ class OliaController(CongestionController):
             state.bytes_previous_interval = state.bytes_current_interval
             state.bytes_current_interval = 0.0
 
-    def _alphas(self) -> Dict[int, float]:
-        """Compute alpha_i for every registered flow."""
-        flow_count = len(self.flows)
-        alphas = {id(flow): 0.0 for flow in self.flows}
-        if flow_count < 2:
-            return alphas
-        # Best paths: largest l-hat^2 / rtt (proxy for available quality).
-        quality: Dict[int, float] = {}
-        for flow in self.flows:
-            state = self._paths[id(flow)]
-            rtt = max(flow.smoothed_rtt(), 1e-4)
-            quality[id(flow)] = (state.smoothed ** 2) / rtt
-        best_quality = max(quality.values())
-        best = {key for key, value in quality.items()
-                if value >= best_quality * (1 - 1e-9)}
-        # Largest-window paths.
-        max_window = max(self._window_packets(flow) for flow in self.flows)
-        largest = {id(flow) for flow in self.flows
-                   if self._window_packets(flow) >= max_window * (1 - 1e-9)}
-        collected = best - largest
-        if not collected:
-            return alphas
-        for key in collected:
-            alphas[key] = 1.0 / (flow_count * len(collected))
-        for key in largest:
-            alphas[key] = -1.0 / (flow_count * len(largest))
-        return alphas
+    def _coupling(self, flow: WindowedFlow) -> Tuple[float, float]:
+        """``(sum_p w_p / rtt_p, alpha of flow)`` from one pass over
+        the coupled flows.
+
+        alpha shifts window toward the *collected* paths -- best
+        quality (largest l-hat^2 / rtt) but not the largest window --
+        and away from the largest-window paths.
+        """
+        flows = self.flows
+        denominator = 0.0
+        windows: List[float] = []
+        qualities: List[float] = []
+        for peer in flows:
+            window = peer.cwnd / peer.mss
+            if window < 1.0:
+                window = 1.0
+            rtt = peer.smoothed_rtt()
+            if rtt < 1e-4:
+                rtt = 1e-4
+            denominator += window / rtt
+            windows.append(window)
+            qualities.append((self._paths[id(peer)].smoothed ** 2) / rtt)
+        if len(flows) < 2:
+            return denominator, 0.0
+        quality_floor = max(qualities) * (1 - 1e-9)
+        window_floor = max(windows) * (1 - 1e-9)
+        collected = largest = 0
+        side = 0  # of ``flow``: +1 collected, -1 largest, 0 neither
+        for peer, window, quality in zip(flows, windows, qualities):
+            if window >= window_floor:
+                largest += 1
+                if peer is flow:
+                    side = -1
+            elif quality >= quality_floor:
+                collected += 1
+                if peer is flow:
+                    side = 1
+        if not collected or not side:
+            return denominator, 0.0
+        if side > 0:
+            return denominator, 1.0 / (len(flows) * collected)
+        return denominator, -1.0 / (len(flows) * largest)
 
     def _increase(self, flow: WindowedFlow, acked_bytes: int) -> None:
         window = self._window_packets(flow)
         rtt = max(flow.smoothed_rtt(), 1e-4)
-        denominator = sum(
-            self._window_packets(peer) / max(peer.smoothed_rtt(), 1e-4)
-            for peer in self.flows)
+        denominator, alpha = self._coupling(flow)
         if denominator <= 0.0:
             denominator = window / rtt
-        alpha = self._alphas().get(id(flow), 0.0)
         acked_packets = acked_bytes / flow.mss
         increase_packets = ((window / (rtt * rtt)) / (denominator ** 2)
                             + alpha / window) * acked_packets

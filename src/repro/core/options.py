@@ -17,12 +17,10 @@ options the paper's Section 2.2.1 walks through:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True, slots=True)
-class DssMapping:
+class DssMapping(NamedTuple):
     """Maps a run of subflow payload onto connection sequence space.
 
     ``dsn`` is the data (connection-level) sequence number of the first
@@ -58,9 +56,12 @@ class DssMapping:
         return self.ssn + self.length
 
 
-@dataclass(frozen=True, slots=True)
-class MptcpOptions:
-    """The MPTCP option block carried by one segment."""
+class MptcpOptions(NamedTuple):
+    """The MPTCP option block carried by one segment.
+
+    Like :class:`repro.tcp.segment.Segment`, a ``NamedTuple`` value
+    built once per packet; ``_replace`` makes a modified copy.
+    """
 
     #: MP_CAPABLE: this SYN (or SYN-ACK) opens a new MPTCP connection.
     mp_capable: bool = False

@@ -104,7 +104,8 @@ class ConnectionReceiveBuffer:
 
     def free_space(self) -> int:
         """Bytes of capacity left (drives the advertised window)."""
-        return max(self.capacity - self._queue.buffered_bytes, 0)
+        free = self.capacity - self._queue.buffered_bytes
+        return free if free > 0 else 0
 
     def offer(self, dsn_start: int, dsn_end: int, arrival_time: float,
               path: str) -> int:

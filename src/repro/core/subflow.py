@@ -53,7 +53,6 @@ class Subflow:
                 and self.endpoint.state in ("established", "close_wait"))
 
     def srtt(self) -> float:
-        assert self.endpoint is not None
         return self.endpoint.smoothed_rtt()
 
     def can_send(self) -> bool:
@@ -151,33 +150,26 @@ class Subflow:
 
     def data_options(self, endpoint: TcpEndpoint, ssn: int, dsn: int,
                      length: int) -> Optional[MptcpOptions]:
-        if self.connection.is_fallback:
+        connection = self.connection
+        if connection.fallback_mode is not None:
             # Plain fallback sends no options; the infinite mapping
             # makes an explicit per-segment mapping redundant.
             return None
-        mapping = DssMapping(dsn=dsn, ssn=ssn, length=length)
-        return MptcpOptions(
-            dss=mapping,
-            data_ack=self.connection.data_ack_value(),
-            data_fin_dsn=self.connection.data_fin_to_signal(),
-            dead_addrs=self.connection.dead_addrs_to_signal(),
-            mp_fail=self.mp_fail_pending)
+        return connection.signal_options(DssMapping(dsn, ssn, length),
+                                         self.mp_fail_pending)
 
     def ack_options(self, endpoint: TcpEndpoint) -> Optional[MptcpOptions]:
         connection = self.connection
-        if connection.is_fallback:
+        if connection.fallback_mode is not None:
             if (connection.fallback_mode == "infinite"
                     and self is connection._fallback_subflow):
                 # Keep signalling MP_FAIL so the peer (which may still
                 # believe in the DSS) converges onto the same fallback.
                 return MptcpOptions(
-                    mp_fail=True, data_ack=connection.data_ack_value())
+                    mp_fail=True,
+                    data_ack=connection.receive_buffer.rcv_nxt)
             return None
-        return MptcpOptions(
-            data_ack=connection.data_ack_value(),
-            data_fin_dsn=connection.data_fin_to_signal(),
-            dead_addrs=connection.dead_addrs_to_signal(),
-            mp_fail=self.mp_fail_pending)
+        return connection.signal_options(None, self.mp_fail_pending)
 
     def receive_window(self, endpoint: TcpEndpoint) -> int:
         return self.connection.receive_window()
@@ -190,7 +182,7 @@ class Subflow:
                 meta: Tuple[float, Optional[MptcpOptions]]) -> None:
         arrival_time, options = meta
         connection = self.connection
-        if connection.is_fallback:
+        if connection.fallback_mode is not None:
             # Identity mapping: payload starts at subflow seq 1, the
             # DSN space at 0, so dsn = ssn - 1 on the sole subflow.
             if self is connection._fallback_subflow:

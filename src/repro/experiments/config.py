@@ -247,11 +247,11 @@ class FlowSpec:
         nearly free per background flow (hybrid packet/fluid), but the
         contention it creates slows the foreground transfer -- more
         simulated seconds, more solver pushes, and a bottleneck link
-        pinned to the scalar pipeline that the vectorized core cannot
-        batch.  Measured against the vectorized packet core the premium
-        is modest (~20% at light contention, ~40% for large closed-loop
-        populations) and almost flat in concurrency, so the multiplier
-        is correspondingly gentle; it still guarantees a world cell
+        pinned to per-packet service (no bursts).  Re-timed on the
+        current packet path (MP-2 AT&T, every registered world) the
+        premium is small -- within the run-to-run noise at 2 MB, 3-18%
+        at 8 MB -- and flat in concurrency, so the multiplier is
+        correspondingly gentle; it still guarantees a world cell
         outranks the equivalent stand-alone cell at the same size, so
         a mixed ``repro all`` + ``repro world`` plan fronts its world
         cells instead of parking them on the tail.

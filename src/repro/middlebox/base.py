@@ -27,7 +27,7 @@ of every flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.netsim.packet import Packet
@@ -71,7 +71,7 @@ class Middlebox:
         flight; per-host captures still see their own side's view, the
         way tcpdump at each end of a real path does.
         """
-        packet.segment = replace(packet.segment, **segment_changes)
+        packet.carry(packet.segment._replace(**segment_changes))
         return packet
 
     @staticmethod

@@ -19,7 +19,6 @@ the FIN only on the last.  Pure control packets pass untouched.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Sequence
 
 from repro.middlebox.base import Middlebox
@@ -51,8 +50,7 @@ class PayloadProxy(Middlebox):
             length = min(self.proxy_mss, segment.payload_len - offset)
             first = offset == 0
             last = offset + length >= segment.payload_len
-            chunk = dataclasses.replace(
-                segment,
+            chunk = segment._replace(
                 seq=segment.seq + offset,
                 payload_len=length,
                 flags=Flags(syn=segment.flags.syn and first,

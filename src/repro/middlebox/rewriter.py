@@ -19,7 +19,6 @@ MP_FAIL subflow closure (multiple subflows).
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import Dict, List, Optional, Sequence
 
@@ -58,8 +57,7 @@ class SequenceRewriter(Middlebox):
         if options is None or options.dss is None:
             return [packet]
         offset = self._offset_for(packet)
-        mapping = dataclasses.replace(options.dss,
-                                      ssn=options.dss.ssn + offset)
+        mapping = options.dss._replace(ssn=options.dss.ssn + offset)
         self.mappings_rewritten += 1
-        return [self.rewrite(packet, options=dataclasses.replace(
-            options, dss=mapping))]
+        return [self.rewrite(packet,
+                             options=options._replace(dss=mapping))]

@@ -30,6 +30,10 @@ class FlowTable:
             raise ValueError("max_entries must be positive (or None)")
         self.idle_timeout = idle_timeout
         self.max_entries = max_entries
+        #: With neither a timeout nor a capacity nothing ever reads a
+        #: refresh time or the LRU order: the table is a membership
+        #: set, and per-packet refreshes have nothing to maintain.
+        self._ageless = idle_timeout is None and max_entries is None
         #: key -> time of last refresh, in LRU order (oldest first).
         self._entries: "collections.OrderedDict[Hashable, float]" = \
             collections.OrderedDict()
@@ -43,6 +47,8 @@ class FlowTable:
         entry (CGN port exhaustion: someone else's flow dies).
         """
         created = key not in self._entries
+        if self._ageless and not created:
+            return False
         self._entries[key] = now
         self._entries.move_to_end(key)
         if created and self.max_entries is not None:
@@ -59,6 +65,8 @@ class FlowTable:
         last = self._entries.get(key)
         if last is None:
             return False
+        if self._ageless:
+            return True
         if self.idle_timeout is not None and now - last > self.idle_timeout:
             del self._entries[key]
             self.expired += 1

@@ -15,7 +15,6 @@ packets -- e.g. only those crossing a particular load-balancer leg).
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import List, Optional, Sequence
 
@@ -77,12 +76,11 @@ class OptionStripper(Middlebox):
             changes["mp_fail"] = False
         if not changes or not self._roll():
             return [packet]
-        stripped = dataclasses.replace(options, **changes)
+        stripped = options._replace(**changes)
         # The token travels inside MP_CAPABLE / MP_JOIN: no carrying
         # option left means no token on the wire either.
         if not stripped.mp_capable and not stripped.mp_join:
-            stripped = dataclasses.replace(stripped, token=None,
-                                           backup=False)
+            stripped = stripped._replace(token=None, backup=False)
         self.options_stripped += 1
         return [self.rewrite(packet,
                              options=None if stripped == _EMPTY

@@ -126,6 +126,11 @@ class Link:
         # consumers elsewhere: install a real registry before building
         # the network.  Guarded with ``enabled`` on the hot path.
         self._metrics = sim.metrics
+        # Invariant: an idle link's queue is empty.  ``_busy`` is cleared
+        # only when a service completion or a burst's end finds the
+        # queue empty, and :meth:`set_down` clears the queue but never
+        # ``_busy`` -- so :meth:`_admit` may put a packet that finds the
+        # link idle straight into service.
         self._queue: collections.deque[Packet] = collections.deque()
         self._queue_bytes = 0
         self._busy = False
@@ -134,10 +139,19 @@ class Link:
         self._last_delivery_time = 0.0
         self._down = False
         self._fluid_bps = 0.0
-        # Hoisted once: per-packet service must not pay a dataclass
-        # attribute walk just to learn there is nothing to modulate.
-        self._modulated = (config.modulation is not None
-                           and config.modulation.sigma != 0.0)
+        # What every packet reads of the (frozen) config, hoisted once:
+        # per-packet service must not pay a dataclass attribute walk,
+        # least of all to learn there is nothing to modulate or recover.
+        self._rate_bps = config.rate_bps
+        self._buffer_bytes = config.buffer_bytes
+        self._prop_delay = config.prop_delay
+        self._jitter_mean = config.jitter_mean
+        self._loss_rate = config.loss_rate
+        arq = config.arq
+        self._arq = arq if arq is not None and arq.error_rate > 0.0 else None
+        modulation = config.modulation
+        self._modulation = (modulation if modulation is not None
+                            and modulation.sigma != 0.0 else None)
         #: Batched serving enabled?  Cleared by :meth:`disable_batching`
         #: (mobility / shared-world owners).
         self._vectorized = True
@@ -198,9 +212,16 @@ class Link:
         return self._down
 
     def send(self, packet: Packet) -> None:
-        """Offer a packet to the link; it is queued, dropped, or served."""
-        self.stats.packets_offered += 1
+        """Offer a packet to the link; it is queued, dropped, or served.
+
+        ``packets_offered`` counts what the link itself has to account
+        for -- every packet handed to drop-tail admission (an on-path
+        box may have turned one into several) plus every packet the box
+        swallowed -- so offered = delivered + drops + in flight holds
+        behind a re-segmenting box too.
+        """
         if self._down:
+            self.stats.packets_offered += 1
             self.stats.drops_down += 1
             if self._metrics.enabled:
                 self._metrics.counter("link.drops.down").inc()
@@ -208,6 +229,7 @@ class Link:
         if self.middlebox is not None:
             forwarded = self.middlebox(packet, self.sim.now)
             if not forwarded:
+                self.stats.packets_offered += 1
                 self.stats.drops_middlebox += 1
                 if self._metrics.enabled:
                     self._metrics.counter("link.drops.middlebox").inc()
@@ -218,7 +240,10 @@ class Link:
         self._admit(packet)
 
     def _admit(self, packet: Packet) -> None:
-        """Drop-tail admission into the serialization queue."""
+        """Drop-tail admission: into service if the link is idle, else
+        into the serialization queue."""
+        stats = self.stats
+        stats.packets_offered += 1
         size = packet.wire_size
         occupancy = self._queue_bytes
         starts = self._batch_starts
@@ -229,21 +254,27 @@ class Link:
             # byte-identical to the per-packet pipeline.
             occupancy += self._batch_suffix[
                 bisect.bisect_right(starts, self.sim.now)]
-        if occupancy + size > self.config.buffer_bytes:
-            self.stats.drops_overflow += 1
+        if occupancy + size > self._buffer_bytes:
+            stats.drops_overflow += 1
             if self._metrics.enabled:
                 self._metrics.counter("link.drops.overflow").inc()
             return
         if self._metrics.enabled:
             self._metrics.histogram("link.queue_bytes",
                                     BYTES_EDGES).observe(float(occupancy))
-        self._queue.append(packet)
-        self._queue_bytes += size
         occupancy += size
-        if occupancy > self.stats.peak_queue_bytes:
-            self.stats.peak_queue_bytes = occupancy
-        if not self._busy:
-            self._serve_next()
+        if occupancy > stats.peak_queue_bytes:
+            stats.peak_queue_bytes = occupancy
+        if self._busy:
+            self._queue.append(packet)
+            self._queue_bytes += size
+        else:
+            # Idle, hence an empty queue: the packet would be appended
+            # and popped straight back.
+            self._busy = True
+            sim = self.sim
+            sim.post(size * 8.0 / self._rate_at(sim.now),
+                     self._service_done, packet)
 
     @property
     def queue_bytes(self) -> int:
@@ -281,16 +312,20 @@ class Link:
 
         The batched pipeline evaluates this at each packet's *future*
         service-start time, replicating exactly the modulation draws
-        the scalar path would make at those event times.  The
-        no-modulation check is hoisted into the ``_modulated`` flag so
-        unmodulated links never enter :meth:`_step_modulation` at all.
+        the scalar path would make at those event times.  Unmodulated
+        links never enter :meth:`_step_modulation`, modulated ones only
+        when a whole interval has passed.
         """
-        if self._modulated:
-            self._step_modulation(now)
-        rate = self.config.rate_bps * self._rate_multiplier
+        modulation = self._modulation
+        if modulation is not None:
+            steps = int((now - self._last_modulation_step)
+                        / modulation.interval)
+            if steps > 0:
+                self._step_modulation(steps)
+        rate = self._rate_bps * self._rate_multiplier
         if self._fluid_bps:
             rate -= self._fluid_bps
-            floor = 0.02 * self.config.rate_bps
+            floor = 0.02 * self._rate_bps
             if rate < floor:
                 rate = floor
         return rate
@@ -303,15 +338,9 @@ class Link:
     # Internals
     # ------------------------------------------------------------------
 
-    def _step_modulation(self, now: Optional[float] = None) -> None:
-        modulation = self.config.modulation
-        if modulation is None or modulation.sigma == 0.0:
-            return
-        if now is None:
-            now = self.sim.now
-        steps = int((now - self._last_modulation_step) / modulation.interval)
-        if steps <= 0:
-            return
+    def _step_modulation(self, steps: int) -> None:
+        """Advance the AR(1) state by ``steps`` whole intervals."""
+        modulation = self._modulation
         # Cap the catch-up work after a very long idle period (beyond
         # ~10k intervals AR(1) memory of the old state is gone anyway).
         # _last_modulation_step must advance only by the iterations
@@ -332,15 +361,15 @@ class Link:
         if not queue:
             self._busy = False
             return
-        self._busy = True
         if self._vectorized and len(queue) >= _BATCH_MIN:
             self._serve_burst()
             return
         packet = queue.popleft()
         size = packet.wire_size
         self._queue_bytes -= size
-        service_time = size * 8.0 / self.current_rate()
-        self.sim.post(service_time, self._service_done, packet)
+        sim = self.sim
+        sim.post(size * 8.0 / self._rate_at(sim.now),
+                 self._service_done, packet)
 
     def _serve_burst(self) -> None:
         """Serve the whole queue as one precomputed burst.
@@ -361,19 +390,17 @@ class Link:
         self._queue_bytes = 0
         sizes = [packet.wire_size for packet in packets]
         count = len(packets)
-        config = self.config
         now = self.sim.now
-        prop = config.prop_delay
-        arq = config.arq
+        prop = self._prop_delay
+        arq = self._arq
         # The exact per-packet loop, evaluated ahead of time.  Draw
         # order matches the event interleaving of the per-packet
         # pipeline: modulation at this packet's service start, then its
         # propagation draws, then the next packet's modulation step.
         rng = self.rng
         stats = self.stats
-        jitter_mean = config.jitter_mean
-        loss_rate = config.loss_rate
-        arq_on = arq is not None and arq.error_rate > 0.0
+        jitter_mean = self._jitter_mean
+        loss_rate = self._loss_rate
         starts = [0.0] * count
         delivery_times: list = []
         delivery_args: list = []
@@ -389,7 +416,7 @@ class Link:
             if loss_rate > 0.0 and rng.random() < loss_rate:
                 stats.drops_loss += 1
                 continue
-            if arq_on:
+            if arq is not None:
                 if rng.random() < arq.error_rate:
                     if rng.random() < arq.residual_loss:
                         stats.drops_arq_residual += 1
@@ -426,38 +453,46 @@ class Link:
         self._serve_next()
 
     def _service_done(self, packet: Packet) -> None:
-        self._propagate(packet)
-        self._serve_next()
-
-    def _propagate(self, packet: Packet) -> None:
+        """End of one packet's serialization: launch it across the
+        propagation leg (delay, jitter, loss, ARQ recovery), then serve
+        whatever queued behind it."""
+        stats = self.stats
+        delay: Optional[float] = self._prop_delay  # None once dropped
         if self._down:
-            self.stats.drops_down += 1
-            return
-        config = self.config
-        delay = config.prop_delay
-        if config.jitter_mean > 0.0:
-            delay += self.rng.expovariate(1.0 / config.jitter_mean)
-        if config.loss_rate > 0.0 and self.rng.random() < config.loss_rate:
-            self.stats.drops_loss += 1
-            return
-        arq = config.arq
-        if arq is not None and arq.error_rate > 0.0:
-            if self.rng.random() < arq.error_rate:
-                if self.rng.random() < arq.residual_loss:
-                    self.stats.drops_arq_residual += 1
-                    return
-                self.stats.arq_recoveries += 1
-                delay += self.rng.uniform(arq.recovery_min, arq.recovery_max)
-        self.stats.packets_delivered += 1
-        self.stats.bytes_delivered += packet.wire_size
-        # FIFO links (WiFi MAC queues, cellular RLC-AM) deliver in order:
-        # a delayed packet holds back the ones behind it.
-        delivery_time = self.sim.now + delay
-        if delivery_time < self._last_delivery_time:
-            delivery_time = self._last_delivery_time
+            stats.drops_down += 1
+            delay = None
         else:
-            self._last_delivery_time = delivery_time
-        self.sim.post_at(delivery_time, self.deliver, packet)
+            rng = self.rng
+            arq = self._arq
+            if self._jitter_mean > 0.0:
+                delay += rng.expovariate(1.0 / self._jitter_mean)
+            if self._loss_rate > 0.0 and rng.random() < self._loss_rate:
+                stats.drops_loss += 1
+                delay = None
+            elif arq is not None and rng.random() < arq.error_rate:
+                if rng.random() < arq.residual_loss:
+                    stats.drops_arq_residual += 1
+                    delay = None
+                else:
+                    stats.arq_recoveries += 1
+                    delay += rng.uniform(arq.recovery_min,
+                                         arq.recovery_max)
+        if delay is not None:
+            stats.packets_delivered += 1
+            stats.bytes_delivered += packet.wire_size
+            # FIFO links (WiFi MAC queues, cellular RLC-AM) deliver in
+            # order: a delayed packet holds back the ones behind it.
+            sim = self.sim
+            delivery_time = sim.now + delay
+            if delivery_time < self._last_delivery_time:
+                delivery_time = self._last_delivery_time
+            else:
+                self._last_delivery_time = delivery_time
+            sim.post_at(delivery_time, self.deliver, packet)
+        if self._queue:
+            self._serve_next()
+        else:
+            self._busy = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Link {self.name} rate={self.config.rate_bps / 1e6:.1f}Mbps "

@@ -38,24 +38,25 @@ class Nat:
         self.table = FlowTable(idle_timeout=idle_timeout,
                                max_entries=max_entries)
         self.clock = clock
+        #: Only an idle timeout ever reads a refresh time; without one
+        #: the clock is not consulted per packet.
+        self._timed = idle_timeout is not None
         self.dropped = 0
-
-    def _now(self) -> float:
-        return self.clock() if self.clock is not None else 0.0
 
     def note_outbound(self, packet: Packet) -> None:
         """Record (or refresh) the mapping of an outbound packet."""
         segment = packet.segment
         self.table.touch(
             (packet.src, segment.src_port, packet.dst, segment.dst_port),
-            now=self._now())
+            self.clock() if self._timed else 0.0)
 
     def allows(self, packet: Packet) -> bool:
         """True if an inbound packet matches a live mapping (inbound
         traffic refreshes it, as on real NATs)."""
         segment = packet.segment
         mapping = (packet.dst, segment.dst_port, packet.src, segment.src_port)
-        if self.table.active(mapping, now=self._now()):
+        if self.table.active(mapping,
+                             self.clock() if self._timed else 0.0):
             return True
         self.dropped += 1
         return False

@@ -37,36 +37,31 @@ class Packet:
         packet_id: unique id, used by traces to correlate send/receive.
         sent_at: simulated time the packet left the sending host; set by
             the host on transmit, used by link-layer models and traces.
+        wire_size: bytes occupied on the wire: payload + TCP header
+            (sized from the segment's actual SACK/MPTCP options) + IP
+            header.  Sized when the segment is set; every link on the
+            path reads it several times.
     """
 
     __slots__ = ("src", "dst", "segment", "packet_id", "sent_at",
-                 "_sized_segment", "_wire_size")
+                 "wire_size")
 
     def __init__(self, src: str, dst: str, segment: "Segment") -> None:
         self.src = src
         self.dst = dst
-        self.segment = segment
         self.packet_id = next(_packet_ids)
         self.sent_at = 0.0
-        self._sized_segment: "Segment | None" = None
-        self._wire_size = 0
+        self.segment = segment
+        self.wire_size = (segment.payload_len + segment.header_length
+                          + IP_HEADER)
 
-    @property
-    def wire_size(self) -> int:
-        """Bytes occupied on the wire: payload + TCP header (sized from
-        the segment's actual SACK/MPTCP options) + IP header.
-
-        Computed once per carried segment: segments are frozen, but a
-        middlebox may swap ``packet.segment`` for a rewritten one, so
-        the cache is keyed on the segment's identity.
-        """
-        segment = self.segment
-        if segment is self._sized_segment:
-            return self._wire_size
-        size = segment.payload_len + segment.header_length + IP_HEADER
-        self._sized_segment = segment
-        self._wire_size = size
-        return size
+    def carry(self, segment: "Segment") -> None:
+        """Swap the carried segment (an on-path box rewrote it) and
+        resize; assigning ``segment`` directly leaves ``wire_size``
+        stale."""
+        self.segment = segment
+        self.wire_size = (segment.payload_len + segment.header_length
+                          + IP_HEADER)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Packet #{self.packet_id} {self.src}->{self.dst} "

@@ -242,7 +242,8 @@ class TcpEndpoint:
 
     def smoothed_rtt(self, default: float = 0.5) -> float:
         """SRTT estimate used by controllers and the MPTCP scheduler."""
-        return self.rto_estimator.smoothed_rtt(default)
+        srtt = self.rto_estimator.srtt
+        return srtt if srtt is not None else default
 
     @property
     def flight_bytes(self) -> int:
@@ -529,12 +530,6 @@ class TcpEndpoint:
             return  # already retransmitted this episode
         self._retransmit(sent)
 
-    def _find_lost(self):
-        """Next RTO-marked loss not yet resent in this epoch."""
-        if not self._lost_count:
-            return None  # O(1) common case: nothing marked lost
-        return self._sent.find_lost(self._recovery_epoch)
-
     def _retransmit(self, sent) -> None:
         if sent.state == _FLIGHT:
             self._pipe -= sent.seq_space
@@ -615,40 +610,44 @@ class TcpEndpoint:
     def _try_send(self) -> None:
         if self.state not in ("established", "close_wait"):
             return
+        # Every advancing DATA_ACK pumps every subflow, so most calls
+        # find the window full: leave before the re-entrancy guard.
+        # Only a requested FIN goes out regardless of the window.
+        if self._pipe >= int(self.cwnd) and not self._close_requested:
+            return
         if self._in_try_send:
             return  # re-entered via scheduler pump: outer loop continues
         self._in_try_send = True
         try:
-            self._try_send_locked()
+            # Retransmit known-lost segments first, paced by the window:
+            # SACK-inferred holes during recovery, and the post-timeout
+            # go-back-N resend (paced by slow start) after an RTO.
+            while self._lost_count and self._pipe < int(self.cwnd):
+                lost = self._sent.find_lost(self._recovery_epoch)
+                if lost is None:
+                    break  # every marked loss was resent this epoch
+                self._retransmit(lost)
+            # Then new data while congestion window space remains.  Like
+            # the kernel, a full MSS may be sent whenever pipe < cwnd
+            # (the last segment may overshoot the window by a fraction
+            # of an MSS).
+            while self._pipe < int(self.cwnd):
+                chunk = self._next_chunk(self.mss)
+                if chunk is None:
+                    break
+                payload_len, dsn = chunk
+                sent = self._sent.append(self.snd_nxt, payload_len,
+                                         payload_len, fin=False, dsn=dsn,
+                                         sent_at=self.sim.now)
+                self.snd_nxt += payload_len
+                self._pipe += payload_len
+                self.controller.on_sent(self, payload_len)
+                self._send_data_segment(sent, retransmission=False)
+                self._arm_rto_timer()
+            if self._close_requested:
+                self._maybe_send_fin()
         finally:
             self._in_try_send = False
-
-    def _try_send_locked(self) -> None:
-        # Retransmit known-lost segments first, paced by the window:
-        # SACK-inferred holes during recovery, and the post-timeout
-        # go-back-N resend (paced by slow start) after an RTO.
-        while self._pipe < int(self.cwnd):
-            lost = self._find_lost()
-            if lost is None:
-                break
-            self._retransmit(lost)
-        # Then new data while congestion window space remains.  Like the
-        # kernel, a full MSS may be sent whenever pipe < cwnd (the last
-        # segment may overshoot the window by a fraction of an MSS).
-        while self._pipe < int(self.cwnd):
-            chunk = self._next_chunk(self.mss)
-            if chunk is None:
-                break
-            payload_len, dsn = chunk
-            sent = self._sent.append(self.snd_nxt, payload_len,
-                                     payload_len, fin=False, dsn=dsn,
-                                     sent_at=self.sim.now)
-            self.snd_nxt += payload_len
-            self._pipe += payload_len
-            self.controller.on_sent(self, payload_len)
-            self._send_data_segment(sent, retransmission=False)
-            self._arm_rto_timer()
-        self._maybe_send_fin()
 
     def _next_chunk(self, max_bytes: int
                     ) -> Optional[Tuple[int, Optional[int]]]:
@@ -671,8 +670,8 @@ class TcpEndpoint:
         return length, None
 
     def _maybe_send_fin(self) -> None:
-        if (not self._close_requested or self._fin_sent
-                or self._pending_bytes > 0):
+        """Send the FIN that :meth:`close` asked for, once due."""
+        if self._fin_sent or self._pending_bytes > 0:
             return
         if (self.delegate is not None
                 and self.delegate.has_pending_data(self)):
@@ -690,13 +689,13 @@ class TcpEndpoint:
         if self.delegate is not None and sent.dsn is not None:
             options = self.delegate.data_options(
                 self, sent.seq, sent.dsn, sent.payload_len)
+        # Positional up to ``window``, in header order: a keyword costs
+        # the tuple constructor as much as the field itself.
         segment = Segment(
-            src_port=self.local_port, dst_port=self.remote_port,
-            seq=sent.seq, ack=self.reassembly.rcv_nxt,
-            flags=_FLAGS_ACK_FIN if sent.fin else _FLAGS_ACK,
-            payload_len=sent.payload_len,
-            window=self._advertised_window(),
-            options=options)
+            self.local_port, self.remote_port, sent.seq,
+            self.reassembly.rcv_nxt,
+            _FLAGS_ACK_FIN if sent.fin else _FLAGS_ACK,
+            sent.payload_len, self._advertised_window(), options=options)
         if sent.payload_len > 0:
             self.stats.data_packets_sent += 1
             if not retransmission:
@@ -713,11 +712,9 @@ class TcpEndpoint:
         sack_blocks = (self.reassembly.sack_blocks()
                        if self.config.use_sack else ())
         segment = Segment(
-            src_port=self.local_port, dst_port=self.remote_port,
-            seq=self.snd_nxt, ack=self.reassembly.rcv_nxt,
-            flags=_FLAGS_ACK,
-            window=self._advertised_window(),
-            sack_blocks=sack_blocks, options=options)
+            self.local_port, self.remote_port, self.snd_nxt,
+            self.reassembly.rcv_nxt, _FLAGS_ACK, 0,
+            self._advertised_window(), sack_blocks, options)
         self.stats.acks_sent += 1
         self._transmit(segment)
 

@@ -32,7 +32,12 @@ class ReassemblyQueue:
         self._starts: List[int] = []
         self._ends: List[int] = []
         self._metas: List[Any] = []
-        self._buffered = 0  # running sum of stored range lengths
+        #: Bytes held above the cumulative point (out-of-order data):
+        #: stored ranges are disjoint, so a running sum maintained on
+        #: insert/pop equals the sum of stored lengths.  A plain
+        #: attribute -- every segment sent reads it once per subflow to
+        #: advertise a window.
+        self.buffered_bytes = 0
         self.duplicate_bytes = 0
 
     # ------------------------------------------------------------------
@@ -73,7 +78,7 @@ class ReassemblyQueue:
             self._ends.insert(index, piece_end)
             self._metas.insert(index, meta)
             accepted += piece_end - piece_start
-            self._buffered += piece_end - piece_start
+            self.buffered_bytes += piece_end - piece_start
         if accepted:
             self._advance(on_in_order)
         return accepted
@@ -103,7 +108,7 @@ class ReassemblyQueue:
             start = self._starts.pop(0)
             end = self._ends.pop(0)
             meta = self._metas.pop(0)
-            self._buffered -= end - start
+            self.buffered_bytes -= end - start
             if end <= self.rcv_nxt:
                 continue  # fully duplicate range (possible after trims)
             delivered_start = max(start, self.rcv_nxt)
@@ -114,16 +119,6 @@ class ReassemblyQueue:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes held above the cumulative point (out-of-order data).
-
-        O(1): stored ranges are disjoint, so a running sum maintained
-        on insert/pop equals the sum of stored lengths.  This is read
-        on every received data packet (window advertisement).
-        """
-        return self._buffered
 
     @property
     def pending_ranges(self) -> List[Tuple[int, int]]:

@@ -13,8 +13,8 @@ DATA_ACKs) rides in :attr:`Segment.options`, typed in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.options import MptcpOptions
@@ -38,10 +38,15 @@ class Flags:
 #: A half-open byte range ``[start, end)`` reported in a SACK option.
 SackBlock = Tuple[int, int]
 
+_NO_FLAGS = Flags()
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+
+class Segment(NamedTuple):
     """One TCP segment.
+
+    A ``NamedTuple`` -- immutable, hashable, equal by value -- because
+    one is built per transmission and a tuple is the cheapest such
+    constructor Python offers.  ``_replace`` makes a modified copy.
 
     Attributes:
         src_port / dst_port: transport ports.
@@ -59,7 +64,7 @@ class Segment:
     dst_port: int
     seq: int = 0
     ack: int = 0
-    flags: Flags = field(default_factory=Flags)
+    flags: Flags = _NO_FLAGS
     payload_len: int = 0
     window: int = 65535
     sack_blocks: Tuple[SackBlock, ...] = ()

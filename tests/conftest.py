@@ -7,14 +7,48 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import pytest
+from hypothesis import settings
 
 from repro.core.coupling import RenoController
+from repro.middlebox.base import Middlebox
 from repro.netsim.host import Host, Interface
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.tcp.endpoint import TcpConfig, TcpEndpoint, TcpListener
+
+
+# Hypothesis profiles.  ``tier1`` is loaded here, so it is what a plain
+# ``pytest`` runs: derandomized, a red run reproduces from the commit
+# alone.  ``deep`` is the search: fresh random draws, ten times the
+# examples, and the blob to replay a failure; select it with the
+# hypothesis pytest plugin's own flag --
+# ``pytest --hypothesis-profile deep tests/tcp tests/core tests/netsim``
+# -- and pin whatever it finds as an ``@example``.
+_TIER1_EXAMPLES = 100
+settings.register_profile("tier1", max_examples=_TIER1_EXAMPLES,
+                          derandomize=True, deadline=None)
+settings.register_profile("deep", max_examples=10 * _TIER1_EXAMPLES,
+                          print_blob=True, deadline=None)
+settings.load_profile("tier1")
+
+
+def examples(count: int) -> int:
+    """``max_examples`` of a property that runs ``count`` examples in
+    tier-1, scaled by the loaded profile (ten times under ``deep``)."""
+    return count * settings.default.max_examples // _TIER1_EXAMPLES
+
+
+class DropEveryNth(Middlebox):
+    """An on-path box that swallows every ``n``-th packet it sees."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def process(self, packet, direction, now):
+        return [] if self.stats.packets_seen % self.n == 0 else [packet]
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Tests for the reno / coupled / olia congestion controllers."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.coupling import (
     CoupledController,
@@ -157,17 +159,18 @@ def test_olia_favors_best_path_not_largest_window():
     olia.on_sent(large_window, 10 * MSS)
     olia.on_loss(large_window)
     olia.on_sent(large_window, 10 * MSS)
-    alphas = olia._alphas()
-    assert alphas[id(good_but_small)] > 0
-    assert alphas[id(large_window)] < 0
-    assert sum(alphas.values()) == pytest.approx(0.0)
+    _, alpha_small = olia._coupling(good_but_small)
+    _, alpha_large = olia._coupling(large_window)
+    assert alpha_small > 0
+    assert alpha_large < 0
+    assert alpha_small + alpha_large == pytest.approx(0.0)
 
 
 def test_olia_single_flow_alpha_zero():
     olia = OliaController()
     flow = FakeFlow(20, 0.05)
     olia.attach(flow)
-    assert olia._alphas() == {id(flow): 0.0}
+    assert olia._coupling(flow)[1] == 0.0
 
 
 def test_detach_removes_flow_from_coupling():
@@ -202,3 +205,123 @@ def test_olia_detach_cleans_path_state():
     olia.on_sent(flow, MSS)
     olia.detach(flow)
     assert olia._paths == {}
+
+
+# ----------------------------------------------------------------------
+# One-pass increases vs the formulas as first written (reference)
+# ----------------------------------------------------------------------
+#
+# Production walks the coupled flows once per ACK.  The references below
+# are the multi-pass formulas that code replaced, kept verbatim: every
+# simulated result is pinned to their floats, so the one-pass versions
+# must agree bit for bit, not approximately.
+
+def _window_packets(flow):
+    return max(flow.cwnd / flow.mss, 1.0)
+
+
+def _reference_lia_increase(flows, flow, acked_bytes):
+    window = _window_packets(flow)
+    total = sum(_window_packets(peer) for peer in flows)
+    if total <= 0.0:
+        total = window
+    alpha_total = best = denominator = 0.0
+    for peer in flows:
+        peer_window = _window_packets(peer)
+        rtt = max(peer.smoothed_rtt(), 1e-4)
+        alpha_total += peer_window
+        best = max(best, peer_window / (rtt * rtt))
+        denominator += peer_window / rtt
+    alpha = (1.0 if denominator <= 0.0
+             else alpha_total * best / (denominator * denominator))
+    acked_packets = acked_bytes / flow.mss
+    increase_packets = min(alpha / total, 1.0 / window) * acked_packets
+    return increase_packets * flow.mss
+
+
+def _reference_olia_alphas(flows, lhat):
+    alphas = {id(flow): 0.0 for flow in flows}
+    if len(flows) < 2:
+        return alphas
+    quality = {id(flow): (lhat[id(flow)] ** 2)
+               / max(flow.smoothed_rtt(), 1e-4) for flow in flows}
+    best_quality = max(quality.values())
+    best = {key for key, value in quality.items()
+            if value >= best_quality * (1 - 1e-9)}
+    max_window = max(_window_packets(flow) for flow in flows)
+    largest = {id(flow) for flow in flows
+               if _window_packets(flow) >= max_window * (1 - 1e-9)}
+    collected = best - largest
+    if not collected:
+        return alphas
+    for key in collected:
+        alphas[key] = 1.0 / (len(flows) * len(collected))
+    for key in largest:
+        alphas[key] = -1.0 / (len(flows) * len(largest))
+    return alphas
+
+
+def _reference_olia_increase(flows, lhat, flow, acked_bytes):
+    window = _window_packets(flow)
+    rtt = max(flow.smoothed_rtt(), 1e-4)
+    denominator = sum(
+        _window_packets(peer) / max(peer.smoothed_rtt(), 1e-4)
+        for peer in flows)
+    if denominator <= 0.0:
+        denominator = window / rtt
+    alpha = _reference_olia_alphas(flows, lhat).get(id(flow), 0.0)
+    acked_packets = acked_bytes / flow.mss
+    increase_packets = ((window / (rtt * rtt)) / (denominator ** 2)
+                        + alpha / window) * acked_packets
+    return max(increase_packets, 0.0) * flow.mss
+
+
+_FLOWS = st.lists(
+    st.tuples(st.floats(0.2, 400.0),              # cwnd, packets
+              st.sampled_from([536, 1200, MSS]),  # mss
+              st.floats(1e-5, 2.0),               # srtt, below the clamp too
+              st.integers(0, 3),                  # l-hat, previous interval
+              st.integers(0, 3)),                 # l-hat, current interval
+    min_size=1, max_size=4)
+
+
+def _drawn_flows(drawn):
+    flows = []
+    for cwnd_packets, mss, rtt, _, _ in drawn:
+        flow = FakeFlow(cwnd_packets, rtt)
+        flow.mss = mss
+        flow.cwnd = cwnd_packets * mss
+        flows.append(flow)
+    return flows
+
+
+@given(drawn=_FLOWS, acked=st.integers(1, 3 * MSS))
+def test_one_pass_lia_increase_is_bit_identical(drawn, acked):
+    flows = _drawn_flows(drawn)
+    coupled = CoupledController()
+    for flow in flows:
+        coupled.attach(flow)
+    for flow in flows:
+        expected = flow.cwnd + _reference_lia_increase(flows, flow, acked)
+        coupled.on_ack(flow, acked)
+        assert flow.cwnd == expected
+
+
+@given(drawn=_FLOWS, acked=st.integers(1, 3 * MSS))
+def test_one_pass_olia_increase_is_bit_identical(drawn, acked):
+    """Small integer l-hats force ties, so the best / largest-window
+    sets overlap, split and empty in every combination."""
+    flows = _drawn_flows(drawn)
+    olia = OliaController()
+    lhat = {}
+    for flow, (_, _, _, previous, current) in zip(flows, drawn):
+        olia.attach(flow)
+        olia.on_sent(flow, previous * 10_000)
+        olia.on_loss(flow)
+        olia.on_sent(flow, current * 10_000)
+        lhat[id(flow)] = float(max(previous, current) * 10_000)
+    for flow in flows:
+        expected = flow.cwnd + _reference_olia_increase(
+            flows, lhat, flow, acked)
+        olia.on_ack(flow, acked)
+        assert flow.cwnd == expected

@@ -56,3 +56,26 @@ def test_mp_fail_wire_length():
     # MP_FAIL is 12 bytes on the wire (RFC 6824 Section 3.6).
     assert MptcpOptions(mp_fail=True).wire_length() == 12
     assert MptcpOptions(mp_fail=True, data_ack=5).wire_length() == 20
+
+
+def test_options_are_equal_by_value_and_hashable():
+    a = MptcpOptions(dss=DssMapping(10, 20, 5), data_ack=7,
+                     dead_addrs=("client.wifi",))
+    b = MptcpOptions(data_ack=7, dead_addrs=("client.wifi",),
+                     dss=DssMapping(dsn=10, ssn=20, length=5))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != a._replace(data_ack=8)
+    assert a._replace(dss=None).wire_length() == 8 + 12
+    assert MptcpOptions() == MptcpOptions(
+        False, False, False, None, (), (), None, None, None, False)
+
+
+def test_dss_mapping_is_an_immutable_value():
+    mapping = DssMapping(10, 20, 5)
+    assert mapping == DssMapping(dsn=10, ssn=20, length=5)
+    assert hash(mapping) == hash(DssMapping(10, 20, 5))
+    with pytest.raises(AttributeError):
+        mapping.ssn = 21
+    assert mapping._replace(ssn=21) == DssMapping(10, 21, 5)

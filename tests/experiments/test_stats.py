@@ -16,6 +16,8 @@ from repro.experiments.stats import (
     quantile,
 )
 
+from tests.conftest import examples
+
 floats = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
 
@@ -135,7 +137,7 @@ def test_confidence_interval_needs_two_samples():
         confidence_interval_95([1.0])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100))
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
                           allow_nan=False), min_size=1, max_size=50))
 def test_property_jain_bounds(allocations):
@@ -144,7 +146,7 @@ def test_property_jain_bounds(allocations):
     assert 1.0 / len(allocations) - 1e-9 <= value <= 1.0 + 1e-9
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100))
 @given(st.lists(floats, min_size=1, max_size=100))
 def test_property_five_number_is_ordered(samples):
     summary = five_number(samples)
@@ -152,7 +154,7 @@ def test_property_five_number_is_ordered(samples):
             <= summary.q3 <= summary.maximum)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100))
 @given(st.lists(floats, min_size=2, max_size=100))
 def test_property_mean_within_range(samples):
     mean, stderr = mean_stderr(samples)
@@ -160,7 +162,7 @@ def test_property_mean_within_range(samples):
     assert stderr >= 0.0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100))
 @given(st.lists(floats, min_size=1, max_size=60))
 def test_property_ccdf_is_monotone_decreasing(samples):
     points = ccdf(samples)
@@ -171,7 +173,7 @@ def test_property_ccdf_is_monotone_decreasing(samples):
     assert values == sorted(values)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60))
 @given(st.lists(floats, min_size=1, max_size=60),
        st.floats(min_value=0.0, max_value=1.0))
 def test_property_quantile_brackets_samples(samples, q):

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.middlebox.base import LinkTap, MiddleboxChain
+from repro.middlebox.proxy import PayloadProxy
 from repro.netsim.link import Link, LinkConfig
 from repro.netsim.packet import Packet
 from repro.sim.engine import Simulator
 from repro.tcp.segment import Segment
 
-from tests.conftest import build_mininet, start_transfer
+from tests.conftest import (DropEveryNth, build_mininet, examples,
+                            start_transfer)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100))
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0,
                           allow_nan=False), min_size=1, max_size=50))
 def test_engine_fires_in_nondecreasing_time_order(delays):
@@ -27,7 +30,7 @@ def test_engine_fires_in_nondecreasing_time_order(delays):
     assert len(fired) == len(delays)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50))
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0,
                           allow_nan=False), min_size=1, max_size=30),
        st.data())
@@ -44,15 +47,22 @@ def test_engine_cancellation_is_exact(delays, data):
     assert set(fired) == set(range(len(delays))) - to_cancel
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25))
 @given(st.integers(min_value=0, max_value=2 ** 31),
        st.floats(min_value=0.0, max_value=0.3, allow_nan=False),
-       st.integers(min_value=2_000, max_value=50_000))
-def test_link_conserves_packets(seed, loss, buffer_kb):
+       st.integers(min_value=2_000, max_value=50_000),
+       st.sampled_from([None, "proxy", "dropper"]))
+def test_link_conserves_packets(seed, loss, buffer_kb, box):
     sim = Simulator()
     config = LinkConfig(rate_bps=5e6, prop_delay=0.005,
                         buffer_bytes=buffer_kb, loss_rate=loss)
     link = Link(sim, config, random.Random(seed))
+    if box is not None:
+        # A re-segmenting proxy (one 500-byte packet becomes three) or
+        # a box that swallows every fourth packet.
+        link.middlebox = LinkTap(MiddleboxChain(
+            [PayloadProxy(proxy_mss=200) if box == "proxy"
+             else DropEveryNth(4)]), "up")
     delivered = []
     link.deliver = delivered.append
     n = 150
@@ -66,13 +76,15 @@ def test_link_conserves_packets(seed, loss, buffer_kb):
     feed()
     sim.run()
     stats = link.stats
-    assert stats.packets_offered == n
+    offered = 3 * n if box == "proxy" else n
+    assert stats.packets_offered == offered
     accounted = (len(delivered) + stats.drops_overflow + stats.drops_loss
-                 + stats.drops_arq_residual + stats.drops_down)
-    assert accounted == n
+                 + stats.drops_arq_residual + stats.drops_down
+                 + stats.drops_middlebox)
+    assert accounted == offered
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15))
 @given(st.integers(min_value=0, max_value=2 ** 31),
        st.floats(min_value=0.0, max_value=0.08, allow_nan=False),
        st.integers(min_value=1, max_value=300))
@@ -119,7 +131,7 @@ def _assert_delivers_through_outage(seed, down_at, duration):
     assert connection.receive_buffer.metrics.delivered_bytes == size
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=examples(10))
 @given(st.integers(min_value=0, max_value=2 ** 31),
        st.floats(min_value=0.3, max_value=3.0, allow_nan=False),
        st.floats(min_value=0.5, max_value=5.0, allow_nan=False))
@@ -145,7 +157,7 @@ def test_handshake_survives_outage_at_syn_retransmit(seed):
     _assert_delivers_through_outage(seed, down_at=1.0, duration=1.0)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=examples(10))
 @given(st.integers(min_value=0, max_value=2 ** 31))
 def test_mptcp_deterministic_under_seed(seed):
     from repro.experiments.config import FlowSpec

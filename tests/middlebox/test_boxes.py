@@ -73,6 +73,37 @@ def test_stripper_probability_zero_never_strips():
     assert box.options_stripped == 0
 
 
+def test_wire_size_follows_a_rewritten_segment():
+    """``Packet.wire_size`` is set with the segment: a box that strips
+    the option block in place shrinks the packet by exactly the block's
+    ``wire_length()`` (a multiple of 4, so header padding is unmoved),
+    to the size a fresh packet carrying the stripped segment has."""
+    for sack_blocks in ((), ((100, 200),)):       # 20 / 30 -> 32 padded
+        for options in (
+                MptcpOptions(mp_capable=True, token=7),
+                MptcpOptions(data_ack=5),
+                MptcpOptions(dss=DssMapping(0, 1, 100), data_ack=5,
+                             dead_addrs=("client.wifi",))):
+            packet = make_packet(payload=100, sack_blocks=sack_blocks,
+                                 options=options)
+            before, packet_id = packet.wire_size, packet.packet_id
+            (out,) = OptionStripper().process(packet, "up", 0.0)
+            assert out is packet and out.packet_id == packet_id
+            assert out.segment.options is None
+            assert out.wire_size == before - options.wire_length()
+            assert out.wire_size == Packet(
+                out.src, out.dst, out.segment).wire_size
+
+
+def test_rewriter_keeps_the_wire_size():
+    packet = make_packet(payload=100, options=MptcpOptions(
+        dss=DssMapping(0, 1, 100), data_ack=5))
+    before = packet.wire_size
+    (out,) = SequenceRewriter().process(packet, "up", 0.0)
+    assert out.segment.options.dss.ssn != 1
+    assert out.wire_size == before
+
+
 def test_stripper_passes_plain_tcp_untouched():
     box = OptionStripper()
     packet = make_packet(payload=100)
@@ -162,6 +193,18 @@ def test_flow_table_lru_eviction():
     table.touch("c", now=3.0)
     assert "a" in table and "c" in table and "b" not in table
     assert table.evicted == 1
+
+
+def test_flow_table_without_timeout_or_capacity_is_a_membership_set():
+    table = FlowTable()
+    assert table.touch("a", now=5.0) is True
+    assert table.touch("a", now=9.0) is False
+    assert table.active("a", now=1e9) and table.active("a", refresh=False)
+    assert not table.active("b")
+    assert "a" in table and len(table) == 1
+    table.drop("a")
+    assert not table.active("a")
+    assert (table.expired, table.evicted) == (0, 0)
 
 
 def test_flow_table_rejects_bad_parameters():

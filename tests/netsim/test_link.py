@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from repro.middlebox.base import LinkTap, MiddleboxChain
+from repro.middlebox.proxy import PayloadProxy
 from repro.netsim.link import ArqConfig, Link, LinkConfig, RateModulation
 from repro.netsim.packet import Packet
 from repro.sim.engine import Simulator
 from repro.tcp.segment import Segment
+
+from tests.conftest import DropEveryNth
 
 
 
@@ -79,23 +83,36 @@ def test_drop_tail_overflow():
 
 
 def test_conservation_offered_equals_delivered_plus_drops():
-    sim = Simulator()
-    link = make_link(sim, buffer_bytes=5000, loss=0.3, seed=7)
-    delivered = []
-    link.deliver = lambda packet: delivered.append(packet)
-    offered = 200
+    """Every packet the link has to account for ends up delivered or in
+    exactly one drop counter -- also behind an on-path box that turns
+    one packet into three (each is offered to drop-tail admission) or
+    swallows it (offered, then a middlebox drop)."""
+    sends = 200
+    for box, offered in ((None, sends),
+                         (PayloadProxy(proxy_mss=200), 3 * sends),
+                         (DropEveryNth(3), sends)):
+        sim = Simulator()
+        link = make_link(sim, buffer_bytes=5000, loss=0.3, seed=7)
+        if box is not None:
+            link.middlebox = LinkTap(MiddleboxChain([box]), "up")
+        delivered = []
+        link.deliver = lambda packet: delivered.append(packet)
 
-    def feed(i=0):
-        if i < offered:
-            link.send(make_packet(500))
-            sim.schedule(0.002, lambda: feed(i + 1))
+        def feed(i=0):
+            if i < sends:
+                link.send(make_packet(500))
+                sim.schedule(0.002, lambda: feed(i + 1))
 
-    feed()
-    sim.run()
-    stats = link.stats
-    assert stats.packets_offered == offered
-    assert (len(delivered) + stats.drops_overflow + stats.drops_loss
-            + stats.drops_arq_residual) == offered
+        feed()
+        sim.run()
+        stats = link.stats
+        assert stats.packets_offered == offered
+        assert stats.packets_delivered == len(delivered)
+        assert (len(delivered) + stats.drops_overflow + stats.drops_loss
+                + stats.drops_arq_residual
+                + stats.drops_middlebox) == offered
+        assert stats.drops_middlebox == (sends // 3 if isinstance(
+            box, DropEveryNth) else 0)
 
 
 def test_bernoulli_loss_rate_statistics():

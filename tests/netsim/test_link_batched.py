@@ -11,6 +11,12 @@ Across links the guarantee is weaker, and pinned here as an expected
 failure: with two subflows per interface (MP-4) the two pipelines order
 same-instant packets of sibling subflows differently on the wire.
 
+Both production pipelines are flattened for speed; the differential
+oracle for that is ``reference_link.ReferenceLink``, the same link with
+one method per step.  A second property replays drawn schedules --
+idle gaps, same-instant bursts, outages, fluid-load changes, an on-path
+box that drops or splits packets -- through all of them.
+
 Also here: the regression test for the hoisted no-modulation check
 (satellite): unmodulated links must never enter the AR(1) stepping
 code on the per-packet path.
@@ -29,6 +35,10 @@ from repro.netsim.link import ArqConfig, Link, LinkConfig, RateModulation
 from repro.netsim.packet import Packet
 from repro.sim.engine import Simulator
 from repro.tcp.segment import Segment
+
+from tests.conftest import examples
+
+from .reference_link import ReferenceLink
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +97,17 @@ def test_modulated_link_still_steps_per_service_start():
 # Batched vs per-packet equivalence on one link (hypothesis property)
 # ----------------------------------------------------------------------
 
+def _config(loss_rate, jitter, use_arq, modulated, buffer_bytes=200_000):
+    return LinkConfig(
+        rate_bps=4e6, prop_delay=0.005, buffer_bytes=buffer_bytes,
+        loss_rate=loss_rate, jitter_mean=jitter,
+        arq=ArqConfig(error_rate=0.1, recovery_min=0.002,
+                      recovery_max=0.01,
+                      residual_loss=0.2) if use_arq else None,
+        modulation=RateModulation(sigma=0.05, interval=0.01)
+        if modulated else None)
+
+
 def _drive(bursts, loss_rate, jitter, use_arq, modulated, seed,
            per_packet):
     """Run one burst schedule through a link; return the delivery
@@ -96,14 +117,7 @@ def _drive(bursts, loss_rate, jitter, use_arq, modulated, seed,
     ``disable_batching()`` before any traffic.
     """
     sim = Simulator()
-    config = LinkConfig(
-        rate_bps=4e6, prop_delay=0.005, buffer_bytes=200_000,
-        loss_rate=loss_rate, jitter_mean=jitter,
-        arq=ArqConfig(error_rate=0.1, recovery_min=0.002,
-                      recovery_max=0.01,
-                      residual_loss=0.2) if use_arq else None,
-        modulation=RateModulation(sigma=0.05, interval=0.01)
-        if modulated else None)
+    config = _config(loss_rate, jitter, use_arq, modulated)
     link = Link(sim, config, random.Random(seed))
     assert link._vectorized
     if per_packet:
@@ -128,7 +142,7 @@ def _drive(bursts, loss_rate, jitter, use_arq, modulated, seed,
     return stream, link.rng.random(), link.stats
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40))
 @given(
     bursts=st.lists(st.tuples(st.integers(0, 40),
                               st.integers(40, 1500)),
@@ -162,6 +176,91 @@ def test_long_clean_burst_matches_per_packet():
                      per_packet=False)
     legacy = _drive(bursts, 0.0, 0.0, False, False, 11, per_packet=True)
     assert batched == legacy
+
+
+# ----------------------------------------------------------------------
+# Production (both pipelines) vs the per-packet reference link
+# ----------------------------------------------------------------------
+
+class _CountingBox:
+    """An on-path box that swallows every third packet and splits every
+    second of the rest in two (the clone's seq is offset so deliveries
+    stay identifiable)."""
+
+    def __init__(self):
+        self.seen = 0
+
+    def __call__(self, packet, now):
+        self.seen += 1
+        if self.seen % 3 == 0:
+            return []
+        if self.seen % 2 == 0:
+            segment = packet.segment
+            clone = Packet(packet.src, packet.dst, segment._replace(
+                seq=segment.seq + 1_000_000,
+                payload_len=segment.payload_len // 2))
+            return [packet, clone]
+        return [packet]
+
+
+def _replay(make_link, script, config, seed, boxed):
+    """Play ``script`` -- (gap, kind, value) steps -- into a link;
+    return its (time, seq) deliveries, stats and final RNG state."""
+    sim = Simulator()
+    link = make_link(sim, config, random.Random(seed))
+    if boxed:
+        link.middlebox = _CountingBox()
+    deliveries = []
+    link.deliver = lambda packet: deliveries.append(
+        (sim.now, packet.segment.seq))
+    at = 0.0
+    for index, (gap, kind, value) in enumerate(script):
+        at += gap * 0.0004
+        if kind == "send":
+            segment = Segment(1, 2, seq=index, payload_len=value)
+            sim.schedule(at, link.send, Packet("a", "b", segment))
+        elif kind == "fluid":
+            # 0.1 - 4.5 Mbit/s of a 4 Mbit/s link: through the floor.
+            sim.schedule(at, link.set_fluid_load, value * 3000.0)
+        else:
+            sim.schedule(at, link.set_down, kind == "down")
+    sim.run()
+    return deliveries, link.stats, link.rng.getstate()
+
+
+def _pinned_link(sim, config, rng):
+    link = Link(sim, config, rng)
+    link.disable_batching()
+    return link
+
+
+@settings(max_examples=examples(60))
+@given(
+    script=st.lists(
+        st.tuples(st.integers(0, 40),
+                  st.sampled_from(["send"] * 7 + ["fluid", "down", "up"]),
+                  st.integers(40, 1500)),
+        min_size=1, max_size=60),
+    loss_rate=st.sampled_from([0.0, 0.05, 0.3]),
+    jitter=st.sampled_from([0.0, 0.001]),
+    use_arq=st.booleans(),
+    modulated=st.booleans(),
+    buffer_bytes=st.sampled_from([4_000, 200_000]),
+    boxed=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_production_link_matches_reference(script, loss_rate, jitter,
+                                           use_arq, modulated,
+                                           buffer_bytes, boxed, seed):
+    """The flattened production link == the per-packet reference link:
+    same (time, seq) deliveries, same ``LinkStats``, same RNG state --
+    per-packet pinned on any schedule, batched too on schedules whose
+    link state nobody touches mid-run."""
+    config = _config(loss_rate, jitter, use_arq, modulated, buffer_bytes)
+    reference = _replay(ReferenceLink, script, config, seed, boxed)
+    assert _replay(_pinned_link, script, config, seed, boxed) == reference
+    if all(kind == "send" for _, kind, _ in script):
+        assert _replay(Link, script, config, seed, boxed) == reference
 
 
 def test_link_that_still_batches_refuses_to_go_down():

@@ -116,6 +116,23 @@ def test_nat_default_keeps_bindings_forever():
     assert nat.expired == 0
 
 
+def test_nat_without_a_timeout_never_reads_the_clock():
+    """Nothing ages, so a binding is plain membership: the per-packet
+    path asks for no time (every testbed NAT is this one)."""
+    def clock():
+        raise AssertionError("an ageless NAT has no use for the time")
+
+    nat = Nat(clock=clock)
+    inbound = make_packet(src="server.eth0", dst="client.wifi",
+                          src_port=80, dst_port=1000)
+    assert not nat.allows(inbound)
+    for _ in range(3):
+        nat.note_outbound(make_packet())
+        assert nat.allows(inbound)
+    assert len(nat.table) == 1
+    assert (nat.dropped, nat.expired) == (1, 0)
+
+
 class SettableClock:
     def __init__(self, now):
         self.now = now

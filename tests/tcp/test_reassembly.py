@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from repro.tcp.reassembly import ReassemblyQueue
 
+from tests.conftest import examples
+
 
 def collect(queue):
     delivered = []
@@ -99,7 +101,7 @@ def test_hole_filling_delivers_everything_in_order():
     assert queue.rcv_nxt == 400
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200))
 @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 8)),
                 min_size=1, max_size=40))
 def test_property_matches_byte_set_model(chunks):
@@ -132,7 +134,7 @@ def test_property_matches_byte_set_model(chunks):
     assert total == queue.rcv_nxt
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100))
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 10)),
                 min_size=1, max_size=30))
 def test_property_sack_blocks_describe_buffered_ranges(chunks):

@@ -19,7 +19,7 @@ from repro.tcp.segment import Flags, Segment
 from repro.trace.analyzer import FlowAnalysis, analyze_flow, flows_in
 from repro.trace.capture import PacketCapture
 
-from tests.conftest import capture_of
+from tests.conftest import capture_of, examples
 
 KB = 1024
 
@@ -188,7 +188,7 @@ def packet_streams(draw):
     return stream
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200))
 @given(packet_streams())
 def test_stream_matches_batch_oracle_on_generated_streams(stream):
     assert_matches_oracle(capture_of(stream, keep_records=True))

@@ -21,6 +21,8 @@ from repro.world import (
     solve_max_min,
 )
 
+from tests.conftest import examples
+
 MBPS = 1e6
 
 # ----------------------------------------------------------------------
@@ -53,7 +55,7 @@ def scenarios(draw):
     return capacities, demands
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200))
 @given(scenarios())
 def test_allocations_never_exceed_capacity(scenario):
     """Per bottleneck, summed shares stay within capacity (the core
@@ -71,7 +73,7 @@ def test_allocations_never_exceed_capacity(scenario):
             assert rate <= key.desired_bw * (1.0 + 1e-9)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200))
 @given(scenarios(), st.randoms(use_true_random=False))
 def test_max_min_is_order_independent(scenario, shuffler):
     """The allocation must not depend on dict insertion order."""
@@ -85,7 +87,7 @@ def test_max_min_is_order_independent(scenario, shuffler):
     assert shuffled == reference
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150))
 @given(scenarios())
 def test_greedy_share_is_max_min_fair(scenario):
     """No greedy class can be raised without lowering a class that
@@ -341,7 +343,7 @@ def _components(capacities, demands):
     return groups
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300))
 @given(st.one_of(scenarios(), sparse_scenarios()))
 def test_joint_solve_is_union_of_component_solves(scenario):
     """Water-filling over disjoint bottleneck components is independent
@@ -407,7 +409,7 @@ _operation = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150))
 @given(st.lists(_capacity, min_size=1, max_size=3),
        st.lists(_operation, min_size=1, max_size=30))
 def test_incremental_reallocation_equals_from_scratch(initial, operations):
