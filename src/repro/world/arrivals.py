@@ -20,7 +20,7 @@ small-flow penalty of Figure 15.
 Determinism: every random draw comes from the one ``random.Random``
 handed in (a named RngRegistry stream), and arrivals draw in a fixed
 order (size, then route), so worlds are reproducible run-to-run and
-across processes.
+across processes; never-cancelled timers use the handle-free ``post``.
 """
 
 from __future__ import annotations
@@ -187,14 +187,14 @@ class PoissonArrivals(ArrivalProcess):
         self.rate = rate
 
     def start(self) -> None:
-        self.sim.schedule(self.rng.expovariate(self.rate), self._arrive)
+        self.sim.post(self.rng.expovariate(self.rate), self._arrive)
 
     def _arrive(self) -> None:
         if self._should_stop():
             return
         size, route = self._draw()
         self.fluid.start_flow(route, size, desired_bw=self.desired_bw)
-        self.sim.schedule(self.rng.expovariate(self.rate), self._arrive)
+        self.sim.post(self.rng.expovariate(self.rate), self._arrive)
 
 
 class ClosedLoopUsers(ArrivalProcess):
@@ -223,9 +223,8 @@ class ClosedLoopUsers(ArrivalProcess):
         """Kick off every user; one solver pass for the whole batch."""
         if self.think_mean > 0.0:
             for _ in range(self.users):
-                self.sim.schedule(
-                    self.rng.expovariate(1.0 / self.think_mean),
-                    self._begin_download)
+                self.sim.post(self.rng.expovariate(1.0 / self.think_mean),
+                              self._begin_download)
             return
         with self.fluid.batch():
             for _ in range(self.users):
@@ -245,8 +244,7 @@ class ClosedLoopUsers(ArrivalProcess):
         if self._should_stop():
             return
         if self.think_mean > 0.0:
-            self.sim.schedule(
-                self.rng.expovariate(1.0 / self.think_mean),
-                self._begin_download)
+            self.sim.post(self.rng.expovariate(1.0 / self.think_mean),
+                          self._begin_download)
         else:
             self._start_flow()

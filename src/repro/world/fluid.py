@@ -29,10 +29,12 @@ are live:
   every other :class:`Link` its load.
 
 Per flow event that leaves: one O(log n) heap operation on the flow's
-class, one solve over the classes of the touched component, and two
-O(live classes) sweeps that cannot be localised without changing float
-results -- advancing every class's virtual clock to *now* and taking
-the minimum next completion for the one timer.  Nothing is per flow.
+class; one solve over the classes of the touched component, skipped
+when the event leaves every count where the last solve saw it (a
+think-0 user restarting into its own class); and two O(live classes)
+sweeps that cannot be localised without changing float results --
+advancing every class's virtual clock to *now* and taking the minimum
+next completion for the one timer.  Nothing is per flow.
 
 Packet-level foreground flows participate as *greedy* classes: they
 occupy a fair share in the solver (so background flows do not starve
@@ -46,7 +48,8 @@ from __future__ import annotations
 import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from repro.obs.metrics import COUNT_EDGES
 from repro.sim.engine import Simulator
@@ -59,25 +62,11 @@ GREEDY = float("inf")
 _COMPLETION_EPS_S = 1e-9
 
 
-@dataclass(frozen=True, order=True)
-class ClassKey:
+class ClassKey(NamedTuple):
     """Identity of a flow class: same route, same per-flow demand."""
 
     route: Tuple[str, ...]
     desired_bw: float = GREEDY
-
-    def __post_init__(self) -> None:
-        # One key lives as long as its class and the solver hashes it
-        # half a dozen times per solve: pay for the field tuple once.
-        object.__setattr__(self, "_hash",
-                           hash((self.route, self.desired_bw)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # str hashes are per process: never ship the cached one.
-        return ClassKey, (self.route, self.desired_bw)
 
 
 @dataclass(slots=True)
@@ -110,10 +99,11 @@ class FlowClass:
     membership instead of the heap (they never "complete" in fluid
     terms -- the packet stack decides that).  ``hops`` are the hops of
     the route that are declared bottlenecks, resolved by the network.
+    ``solved`` is the ``(len(heap), pinned)`` its last solve saw.
     """
 
     __slots__ = ("key", "hops", "heap", "virtual_bits", "rate_bps",
-                 "pinned")
+                 "pinned", "solved")
 
     def __init__(self, key: ClassKey) -> None:
         self.key = key
@@ -124,6 +114,7 @@ class FlowClass:
         #: Packet-level flows attached to this class (greedy demand,
         #: no fluid completion tracking).
         self.pinned = 0
+        self.solved = (0, 0)
 
     @property
     def count(self) -> int:
@@ -136,8 +127,8 @@ def solve_max_min(demands: Dict[ClassKey, int],
 
     Args:
         demands: live flow count per class; a class's route names the
-            bottlenecks it crosses, its ``desired_bw`` caps the
-            per-flow rate (``GREEDY`` = uncapped).
+            bottlenecks it crosses (each once), its ``desired_bw``
+            caps the per-flow rate (``GREEDY`` = uncapped).
         capacities: capacity in bits/s per bottleneck name.  Routes may
             reference unknown names; those hops are ignored (treated as
             uncongested).
@@ -161,7 +152,7 @@ def solve_max_min(demands: Dict[ClassKey, int],
     unfrozen = {key: count for key, count in demands.items() if count > 0}
     rates: Dict[ClassKey, float] = dict.fromkeys(unfrozen, 0.0)
 
-    while unfrozen:
+    while len(unfrozen) > 1:
         # Unfrozen flow population per bottleneck, and the smallest
         # unfrozen demand on the way past.
         population: Dict[str, int] = {}
@@ -178,7 +169,7 @@ def solve_max_min(demands: Dict[ClassKey, int],
             for key in unfrozen:
                 rates[key] = key.desired_bw if key.desired_bw < GREEDY \
                     else 0.0
-            break
+            return rates
 
         # The water level: the smallest fair share of what is left.
         level = GREEDY
@@ -214,6 +205,24 @@ def solve_max_min(demands: Dict[ClassKey, int],
                 if hop in remaining:
                     left = remaining[hop] - claimed
                     remaining[hop] = left if left > 0.0 else 0.0
+    if unfrozen:
+        # The last class freezes with the float operations of a final
+        # round: at its demand if that fits under its tightest share
+        # (inf on infinite capacity), else at that share.
+        (key, count), = unfrozen.items()
+        desired = key.desired_bw
+        level = GREEDY
+        bounded = False
+        for hop in key.route:
+            if hop in remaining:
+                bounded = True
+                share = remaining[hop] / count
+                if share < level:
+                    level = share
+        if not bounded:
+            rates[key] = desired if desired < GREEDY else 0.0
+        else:
+            rates[key] = desired if desired <= level else level
     return rates
 
 
@@ -285,11 +294,11 @@ class FluidNetwork:
     re-solved bottleneck is pushed to its backing :class:`Link` (when
     one is bound) as residual-capacity load.
 
-    Reallocation is incremental: an event marks the bottlenecks whose
-    population it changed, and :meth:`_reallocate` re-solves only the
-    classes connected to them (see :func:`solve_max_min` for why that
-    is exact).  Classes elsewhere keep their rate, links elsewhere
-    their load.
+    Reallocation is incremental: an event records the classes it
+    touched, and :meth:`_reallocate` re-solves only the classes
+    connected to those whose population differs from what their last
+    solve saw (see :func:`solve_max_min` for why that is exact).
+    Classes elsewhere keep their rate, links elsewhere their load.
 
     Determinism: the kernel draws no randomness and, while no fluid
     flow is live, schedules no events -- a world with zero background
@@ -304,12 +313,14 @@ class FluidNetwork:
         self.on_complete: Optional[Callable[[FluidFlow], None]] = None
         self._capacities: Dict[str, float] = {}
         self._links: Dict[str, object] = {}
-        #: Live classes by ``(route, desired_bw)``, in creation order.
-        #: Each owns the one :class:`ClassKey` its flows share.
-        self._classes: Dict[Tuple[Tuple[str, ...], float], FlowClass] = {}
+        #: Live classes by key, in creation order.  Each owns the one
+        #: :class:`ClassKey` its flows share.
+        self._classes: Dict[ClassKey, FlowClass] = {}
         #: Bottleneck -> live classes crossing it, in creation order:
         #: the order a bottleneck's load is summed in.
         self._members: Dict[str, List[FlowClass]] = {}
+        #: Classes whose population the current event may have changed.
+        self._touched: List[FlowClass] = []
         #: Bottlenecks whose population or capacity changed since the
         #: last solve.
         self._dirty: Set[str] = set()
@@ -353,7 +364,7 @@ class FluidNetwork:
         return cls.key
 
     def detach_packet_flow(self, key: ClassKey) -> None:
-        cls = self._classes.get((key.route, key.desired_bw))
+        cls = self._classes.get(key)
         if cls is None or cls.pinned <= 0:
             return
         cls.pinned -= 1
@@ -384,7 +395,7 @@ class FluidNetwork:
         self._next_id += 1
         self._live += 1
         self.stats.note_start(self._live, now=now)
-        self._dirty.update(cls.hops)
+        self._touched.append(cls)
         if not nested:
             self._reallocate()
         return flow
@@ -401,7 +412,8 @@ class FluidNetwork:
         spec = (tuple(route), desired_bw)
         cls = self._classes.get(spec)
         if cls is None:
-            cls = self._classes[spec] = FlowClass(ClassKey(*spec))
+            key = ClassKey(*spec)
+            cls = self._classes[key] = FlowClass(key)
             self._index(cls)
             if not cls.hops and desired_bw < GREEDY:
                 # No declared bottleneck bounds it: it runs at its
@@ -417,14 +429,14 @@ class FluidNetwork:
             members[hop].append(cls)
 
     def _retire(self, cls: FlowClass) -> None:
-        del self._classes[(cls.key.route, cls.key.desired_bw)]
+        del self._classes[cls.key]
         for hop in cls.hops:
             self._members[hop].remove(cls)
 
     def _population_changed(self, cls: FlowClass) -> None:
-        """Re-solve ``cls``'s bottlenecks: now, or at the end of the
-        enclosing event or batch."""
-        self._dirty.update(cls.hops)
+        """Reallocate for ``cls``: now, or at the end of the enclosing
+        event or batch."""
+        self._touched.append(cls)
         if not self._processing:
             self._advance()
             self._reallocate()
@@ -459,6 +471,15 @@ class FluidNetwork:
         self._last_advance = now
 
     def _reallocate(self) -> None:
+        touched = self._touched
+        if touched:
+            # Counts back where the last solve saw them dirty nothing:
+            # the solve is a pure function of counts and capacities.
+            dirty = self._dirty
+            for cls in touched:
+                if cls.solved != (len(cls.heap), cls.pinned):
+                    dirty.update(cls.hops)
+            touched.clear()
         if self._dirty:
             self._solve_dirty()
         trace = self.sim.trace
@@ -483,23 +504,27 @@ class FluidNetwork:
         dirtied), and pushes the new load of those bottlenecks only.
         """
         members = self._members
+        capacities = self._capacities
         hops = self._dirty
         self._dirty = set()
-        classes: Dict[FlowClass, None] = {}
+        classes: List[FlowClass] = []
+        demands: Dict[ClassKey, int] = {}
+        component: Dict[str, float] = {}
         stack = list(hops)
         while stack:
-            for cls in members[stack.pop()]:
-                if cls not in classes:
-                    classes[cls] = None
-                    for hop in cls.hops:
-                        if hop not in hops:
-                            hops.add(hop)
-                            stack.append(hop)
+            hop = stack.pop()
+            component[hop] = capacities[hop]
+            for cls in members[hop]:
+                if cls.key not in demands:
+                    cls.solved = state = (len(cls.heap), cls.pinned)
+                    demands[cls.key] = state[0] + state[1]
+                    classes.append(cls)
+                    for other in cls.hops:
+                        if other not in hops:
+                            hops.add(other)
+                            stack.append(other)
         if classes:
-            capacities = self._capacities
-            rates = solve_max_min(
-                {cls.key: len(cls.heap) + cls.pinned for cls in classes},
-                {hop: capacities[hop] for hop in hops})
+            rates = solve_max_min(demands, component)
             for cls in classes:
                 cls.rate_bps = rates.get(cls.key, 0.0)
         links = self._links
@@ -542,23 +567,29 @@ class FluidNetwork:
         self._processing = True
         completed: List[FluidFlow] = []
         try:
-            self._advance()
             now = self.sim.now
+            dt = now - self._last_advance
+            self._last_advance = now
+            touched = self._touched
             drained: List[FlowClass] = []
             for cls in self._classes.values():
                 heap = cls.heap
-                if not heap or cls.rate_bps <= 0.0:
+                if not heap:
                     continue
-                slack = cls.rate_bps * _COMPLETION_EPS_S
-                before = len(completed)
-                while heap and heap[0][0] - cls.virtual_bits <= slack:
+                rate = cls.rate_bps
+                if dt > 0.0:                    # _advance(), folded in
+                    cls.virtual_bits += rate * dt
+                virtual = cls.virtual_bits
+                slack = rate * _COMPLETION_EPS_S
+                if rate <= 0.0 or heap[0][0] - virtual > slack:
+                    continue
+                while heap and heap[0][0] - virtual <= slack:
                     flow = heapq.heappop(heap)[2]
                     flow.finished_at = now
                     completed.append(flow)
-                if len(completed) > before:
-                    self._dirty.update(cls.hops)
-                    if not heap and not cls.pinned:
-                        drained.append(cls)
+                touched.append(cls)
+                if not heap and not cls.pinned:
+                    drained.append(cls)
             # Before the callbacks: a closed-loop restart on a drained
             # class opens a fresh one (virtual clock back at zero).
             for cls in drained:

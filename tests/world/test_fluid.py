@@ -36,6 +36,15 @@ _bottlenecks = st.lists(st.floats(0.5 * MBPS, 100 * MBPS),
                         min_size=1, max_size=4)
 
 
+def _demands(classes):
+    """Flow count per class key from drawn ``(route, demand, count)``."""
+    demands = {}
+    for route, desired, count in classes:
+        key = ClassKey(route=tuple(route), desired_bw=desired)
+        demands[key] = demands.get(key, 0) + count
+    return demands
+
+
 @st.composite
 def scenarios(draw):
     capacities = {f"b{i}": c for i, c in enumerate(draw(_bottlenecks))}
@@ -48,11 +57,7 @@ def scenarios(draw):
                       st.floats(0.01 * MBPS, 50 * MBPS)),
             st.integers(1, 50)),
         min_size=1, max_size=8))
-    demands = {}
-    for route, desired, count in classes:
-        key = ClassKey(route=tuple(route), desired_bw=desired)
-        demands[key] = demands.get(key, 0) + count
-    return capacities, demands
+    return capacities, _demands(classes)
 
 
 @settings(max_examples=examples(200))
@@ -321,11 +326,7 @@ def sparse_scenarios(draw):
             st.sampled_from([GREEDY, 1 * MBPS, 2.5 * MBPS, 5 * MBPS]),
             st.integers(1, 4)),
         min_size=1, max_size=8))
-    demands = {}
-    for route, desired, count in classes:
-        key = ClassKey(route=tuple(route), desired_bw=desired)
-        demands[key] = demands.get(key, 0) + count
-    return capacities, demands
+    return capacities, _demands(classes)
 
 
 def _components(capacities, demands):
@@ -356,6 +357,105 @@ def test_joint_solve_is_union_of_component_solves(scenario):
             {key: demands[key] for key in keys},
             {hop: capacities[hop] for hop in hops}))
     assert union == solve_max_min(demands, capacities)
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the solver against its loop-only reference
+# ----------------------------------------------------------------------
+
+def _reference_solve_max_min(demands, capacities):
+    """``solve_max_min`` as it stood before the last class froze in
+    closed form: every class, the last one included, leaves through a
+    full water-filling round.  Kept verbatim as the reference."""
+    remaining = dict(capacities)
+    unfrozen = {key: count for key, count in demands.items() if count > 0}
+    rates = dict.fromkeys(unfrozen, 0.0)
+
+    while unfrozen:
+        population = {}
+        floor = GREEDY
+        for key, count in unfrozen.items():
+            if key.desired_bw < floor:
+                floor = key.desired_bw
+            for hop in key.route:
+                if hop in remaining:
+                    population[hop] = population.get(hop, 0) + count
+        if not population:
+            for key in unfrozen:
+                rates[key] = key.desired_bw if key.desired_bw < GREEDY \
+                    else 0.0
+            break
+
+        level = GREEDY
+        for hop, count in population.items():
+            share = remaining[hop] / count
+            if share < level:
+                level = share
+
+        demand_limited = floor <= level
+        if demand_limited:
+            frozen = [key for key in unfrozen if key.desired_bw <= floor]
+        else:
+            tight = {hop for hop, count in population.items()
+                     if remaining[hop] / count <= level}
+            frozen = [key for key in unfrozen
+                      if not tight.isdisjoint(key.route)]
+
+        if len(frozen) > 1:
+            frozen.sort()
+        for key in frozen:
+            rate = key.desired_bw if demand_limited else level
+            rates[key] = rate
+            claimed = rate * unfrozen.pop(key)
+            for hop in key.route:
+                if hop in remaining:
+                    left = remaining[hop] - claimed
+                    remaining[hop] = left if left > 0.0 else 0.0
+    return rates
+
+
+@st.composite
+def edge_scenarios(draw):
+    """The corners the closed-form last class must get right: few
+    classes (often one), zero and infinite capacities, undeclared hops,
+    zero counts, zero and capped demands, multi-hop routes."""
+    capacities = {f"b{i}": c for i, c in enumerate(draw(st.lists(
+        st.sampled_from([0.0, 1 * MBPS, 5 * MBPS, 12.5 * MBPS, GREEDY]),
+        min_size=1, max_size=3)))}
+    hops = sorted(capacities) + ["undeclared"]
+    classes = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(hops), min_size=1, max_size=3,
+                     unique=True),
+            st.sampled_from([GREEDY, 0.0, 1 * MBPS, 5 * MBPS, 20 * MBPS]),
+            st.integers(0, 4)),
+        min_size=1, max_size=4))
+    return capacities, _demands(classes)
+
+
+@settings(max_examples=examples(400))
+@given(st.one_of(scenarios(), sparse_scenarios(), edge_scenarios()))
+def test_solver_matches_the_loop_only_reference(scenario):
+    """Same rates (``==`` on floats) in the same dict order."""
+    capacities, demands = scenario
+    expected = _reference_solve_max_min(demands, capacities)
+    assert list(solve_max_min(demands, capacities).items()) == \
+        list(expected.items())
+
+
+@pytest.mark.parametrize("capacities, route, desired, rate", [
+    ({"a": GREEDY}, ("a",), GREEDY, GREEDY),        # bounded by inf: inf
+    ({"a": 10 * MBPS}, ("nowhere",), GREEDY, 0.0),  # unbounded: 0
+    ({"a": 10 * MBPS}, ("nowhere",), 3 * MBPS, 3 * MBPS),
+    ({"a": 0.0}, ("a",), GREEDY, 0.0),
+    ({"a": 10 * MBPS, "b": 4 * MBPS}, ("a", "b", "c"), GREEDY, 2 * MBPS),
+    ({"a": 10 * MBPS}, ("a",), 5 * MBPS, 5 * MBPS),  # demand == share
+])
+def test_last_class_edges(capacities, route, desired, rate):
+    demands = {ClassKey(route, desired): 2}
+    assert solve_max_min(demands, capacities) == \
+        _reference_solve_max_min(demands, capacities) == \
+        {ClassKey(route, desired): rate}
 
 
 # ----------------------------------------------------------------------
@@ -398,11 +498,21 @@ _start = st.tuples(
     st.integers(2_000, 400_000),                        # bytes
     st.sampled_from([GREEDY, GREEDY, 0.5 * MBPS, 1.5 * MBPS]),
     st.integers(0, 2))                                  # closed-loop restarts
+#: Think-0 users sharing one class: distinct sizes, so they complete
+#: one at a time and each restart lands in a class that kept its count.
+_loop = st.tuples(
+    _routes,
+    st.sampled_from([GREEDY, 0.5 * MBPS]),
+    st.lists(st.integers(2_000, 400_000), min_size=2, max_size=3,
+             unique=True),
+    st.integers(1, 3))                                  # restarts per user
 _operation = st.one_of(
     st.tuples(st.just("start"), _start),
     st.tuples(st.just("batch"), st.lists(_start, min_size=0, max_size=4)),
+    st.tuples(st.just("loop"), _loop),
     st.tuples(st.just("attach"), _routes),
     st.tuples(st.just("detach"), st.integers(0, 7)),
+    st.tuples(st.just("handover"), st.integers(0, 7)),
     st.tuples(st.just("advance"), st.floats(0.001, 1.5)),
     st.tuples(st.just("declare"),
               st.tuples(st.sampled_from(_HOPS), _capacity)),
@@ -414,9 +524,11 @@ _operation = st.one_of(
        st.lists(_operation, min_size=1, max_size=30))
 def test_incremental_reallocation_equals_from_scratch(initial, operations):
     """After every reallocation -- arrivals, departures, closed-loop
-    restarts from completion callbacks, batches, packet-flow attach and
-    detach, late ``add_bottleneck`` -- every live class's rate and
-    every link's last pushed load equal a fresh global solve, exactly."""
+    restarts from completion callbacks (including into the class that
+    just lost the flow, where the solve is skipped), batches,
+    packet-flow attach and detach, late ``add_bottleneck`` -- every
+    live class's rate and every link's last pushed load equal a fresh
+    global solve, exactly."""
     sim = Simulator()
     fluid = FluidNetwork(sim)
     for hop, capacity in zip(_HOPS, initial):
@@ -446,6 +558,16 @@ def test_incremental_reallocation_equals_from_scratch(initial, operations):
         fluid.start_flow(route, size, desired_bw=desired,
                          on_complete=restart)
 
+    def user(route, size, desired, restarts):
+        def again(flow):
+            if restarts:
+                # Straight from the callback, no batch: the think-0
+                # ClosedLoopUsers path.
+                user(route, size, desired, restarts - 1)
+
+        fluid.start_flow(route, size, desired_bw=desired,
+                         on_complete=again)
+
     attached = []
     for kind, arg in operations:
         if kind == "start":
@@ -454,12 +576,25 @@ def test_incremental_reallocation_equals_from_scratch(initial, operations):
             with fluid.batch():
                 for spec in arg:
                     start(spec)
+        elif kind == "loop":
+            route, desired, sizes, restarts = arg
+            with fluid.batch():
+                for size in sizes:
+                    user(route, size, desired, restarts)
         elif kind == "attach":
             attached.append(fluid.attach_packet_flow(arg))
         elif kind == "detach":
             if attached:
                 fluid.detach_packet_flow(
                     attached.pop(arg % len(attached)))
+        elif kind == "handover":
+            # A packet flow's share passes to a fluid flow in one
+            # event: the class count holds, its fluid load does not.
+            if attached:
+                key = attached.pop(arg % len(attached))
+                with fluid.batch():
+                    fluid.detach_packet_flow(key)
+                    fluid.start_flow(key.route, 100_000)
         elif kind == "advance":
             sim.run(until=sim.now + arg)
         else:
@@ -632,15 +767,49 @@ def test_nested_batch_in_completion_callback_defers_to_the_event(
     assert len(solver_calls) == 1 and len(solver_calls[0]) == 2
 
 
+def test_same_class_restart_neither_solves_nor_pushes_load(solver_calls):
+    """A think-0 restart into the class that just lost the flow leaves
+    every count where the last solve saw it: no solve, no link load
+    pushed.  A restart into another class re-solves once."""
+    sim = Simulator()
+    fluid = FluidNetwork(sim)
+    links = {name: FakeLink() for name in _PIN_CAPACITIES}
+    for name, capacity in _PIN_CAPACITIES.items():
+        fluid.add_bottleneck(name, capacity, link=links[name])
+    target = [("wifi:down",)]
+
+    def restart(flow):
+        fluid.start_flow(target[0], flow.size_bytes, on_complete=restart)
+
+    with fluid.batch():
+        fluid.start_flow(("wifi:down",), 100_000, on_complete=restart)
+        fluid.start_flow(("wifi:down",), 300_000, on_complete=restart)
+        fluid.start_flow(("cell:down",), 10_000_000)
+    del solver_calls[:]
+    pushed = [len(link.loads) for link in links.values()]
+
+    assert sim.step()                   # 100 kB done, restarted in place
+    assert fluid.stats.flows_completed == 1 and fluid.live_flows == 3
+    assert solver_calls == []
+    assert [len(link.loads) for link in links.values()] == pushed
+    assert sim.pending() == 1           # the timer is still re-armed
+
+    target[0] = ("cell:down",)
+    assert sim.step()                   # 100 kB done again, moves over
+    assert fluid.stats.flows_completed == 2
+    assert solver_calls == [{ClassKey(("wifi:down",)): 1,
+                             ClassKey(("cell:down",)): 2}]
+
+
 def test_flows_of_a_class_share_one_key_that_survives_pickling():
     sim, fluid = _world()
     first = fluid.start_flow(["dl"], 1_000)
     second = fluid.start_flow(("dl",), 2_000)
     assert first.key is second.key == ClassKey(("dl",))
-    # The cached hash is per process (str hashing is salted): a key
-    # is rebuilt from its fields, never shipped with it.
-    assert pickle.loads(pickle.dumps(first.key)) == first.key
-    assert ClassKey.__reduce__(first.key) == (ClassKey, (("dl",), GREEDY))
+    clone = pickle.loads(pickle.dumps(first.key))
+    assert type(clone) is ClassKey
+    assert clone == first.key and hash(clone) == hash(first.key)
+    assert clone.route == ("dl",) and clone.desired_bw == GREEDY
 
 
 def test_reallocation_counters_keep_their_meaning():
