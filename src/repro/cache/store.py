@@ -13,9 +13,18 @@ unique cell exactly once and later campaigns warm-start.
 
 Layout (all under one cache directory)::
 
-    meta.json           {"schema": 1, "format_version": N}
+    meta.json           {"schema": 2, "format_version": N}
     index.jsonl         one entry digest per line (O(1) membership)
     objects/ab/<sha256>.json   the stored result, content-addressed
+
+An object is ``{"key", "format_version", "result"}`` where ``result``
+is :func:`~repro.experiments.storage.result_to_dict` at full fidelity
+with every float sample list (``metrics.ofo_delays`` and each
+``per_path[*].rtt_samples``) *packed*: base64 of the little-endian
+IEEE-754 doubles.  Packing is bit-exact (a float round-trips by its
+bits, not its ``repr``) and leaves a warm hit one file read plus a
+JSON decode that no longer parses float text.  Schema 2 introduced
+the packing; a store of any other schema is wiped on open.
 
 Design points:
 
@@ -46,13 +55,16 @@ serial-equals-cached determinism guarantee breaks.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import os
 import shutil
+import sys
 import tempfile
 import time
 import warnings
+from array import array
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -61,13 +73,52 @@ from repro.experiments.runner import RunResult, descriptor_key
 from repro.experiments.storage import result_from_dict, result_to_dict
 
 #: Bump when the on-disk cache layout itself changes shape.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def cache_digest(key: str, format_version: int) -> str:
     """Content address of one cell: descriptor key + format version."""
     return hashlib.sha256(
         f"{key}|v{format_version}".encode("utf-8")).hexdigest()
+
+
+def _pack(samples: List[float]) -> str:
+    """Base64 of ``samples`` as little-endian IEEE-754 doubles."""
+    packed = array("d", samples)
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    return binascii.b2a_base64(packed.tobytes(), newline=False).decode(
+        "ascii")
+
+
+def _unpack(text: str) -> List[float]:
+    """Inverse of :func:`_pack`; ``ValueError`` on a mangled field.
+
+    Only canonical base64 (what :func:`_pack` writes) is accepted:
+    the lenient C decoder skips stray characters, so the text must
+    re-encode to itself.
+    """
+    raw = binascii.a2b_base64(text)
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
+        raise ValueError("packed sample list is not canonical base64")
+    if len(raw) % 8:
+        raise ValueError("packed sample list is not whole doubles")
+    packed = array("d")
+    packed.frombytes(raw)
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    return packed.tolist()
+
+
+def _map_samples(data: dict, codec) -> dict:
+    """Apply ``codec`` in place to every sample list of a result dict."""
+    metrics = data["metrics"]
+    metrics["ofo_delays"] = codec(metrics["ofo_delays"])
+    for analysis in metrics["per_path"].values():
+        analysis["rtt_samples"] = codec(analysis["rtt_samples"])
+    return data
 
 
 class RunCache:
@@ -90,6 +141,7 @@ class RunCache:
         self.invalidated = False
         self.root.mkdir(parents=True, exist_ok=True)
         self._objects = self.root / "objects"
+        self._objects_dir = str(self._objects)
         self._index_path = self.root / "index.jsonl"
         self._check_version()
         self._index = self._load_index()
@@ -185,14 +237,17 @@ class RunCache:
         if digest not in self._index:
             self.misses += 1
             return None
-        path = self._object_path(digest)
+        path = os.path.join(self._objects_dir, digest[:2],
+                            digest + ".json")
         try:
-            wrapper = json.loads(path.read_text())
+            with open(path, "rb") as handle:
+                wrapper = json.loads(handle.read())
             if wrapper.get("key") != key or \
                     wrapper.get("format_version") != self.format_version:
                 raise ValueError("entry does not match its address")
-            result = result_from_dict(wrapper["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+            result = result_from_dict(
+                _map_samples(wrapper["result"], _unpack))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             warnings.warn(f"run cache {self.root}: skipping corrupt "
                           f"entry {digest[:12]} (will recompute)",
                           RuntimeWarning)
@@ -220,7 +275,8 @@ class RunCache:
         self._write_json(path, {
             "key": key,
             "format_version": self.format_version,
-            "result": result_to_dict(result, max_samples=None),
+            "result": _map_samples(
+                result_to_dict(result, max_samples=None), _pack),
         })
         self._index_handle.write(digest + "\n")
         self._index_handle.flush()

@@ -9,7 +9,8 @@ protocol knobs the paper varies (simultaneous SYN) or we ablate
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from repro.core.connection import MptcpConfig
 from repro.tcp.endpoint import TcpConfig
@@ -191,40 +192,30 @@ class FlowSpec:
     def carrier_label(self) -> str:
         return _CARRIER_LABELS[self.carrier]
 
-    @property
+    @cached_property
     def identity(self) -> str:
         """Canonical string of *every* field, for seed derivation and
-        resume-journal keys.
+        resume-journal keys; computed once per spec.
 
         ``label`` alone is ambiguous: an ablation can put two specs with
         the same label and carrier but different scheduler or ssthresh
         in one campaign, and anything keyed on the label would silently
         collide.
 
-        The middlebox trio is included only when a middlebox is
-        configured: every pre-existing spec must keep the identity (and
-        hence the derived per-run seeds and journal keys) it had before
-        middleboxes existed, or committed campaign outputs would shift.
-        The scheduler-lab fields (``path_manager``, ``workload``,
-        ``path_pair``), the shared-world field (``world``) and the
-        failure schedule (``failure``) are gated the same way:
-        defaulted values stay out of the identity string.
+        Fields added after the first committed campaigns are left out
+        while they hold their default (:data:`_IDENTITY_GATES`): every
+        pre-existing spec must keep the identity (and hence the derived
+        per-run seeds and journal keys) it had before the field existed,
+        or committed campaign outputs would shift.  The cached value
+        lives in the instance ``__dict__``, outside the dataclass
+        fields, so equality, hashing and ``asdict`` never see it.
         """
-        values = asdict(self)
-        if values["middlebox"] == "none":
-            for name in ("middlebox", "middlebox_path", "middlebox_prob"):
-                del values[name]
-        if values["path_manager"] == "fullmesh":
-            del values["path_manager"]
-        if values["workload"] == "bulk":
-            del values["workload"]
-        if values["path_pair"] == "default":
-            del values["path_pair"]
-        if values["world"] == "none":
-            del values["world"]
-        if values["failure"] == "none":
-            del values["failure"]
-        return ";".join(f"{name}={values[name]}" for name in sorted(values))
+        parts = []
+        for name in _IDENTITY_FIELDS:
+            gate = _IDENTITY_GATES.get(name)
+            if gate is None or getattr(self, gate[0]) != gate[1]:
+                parts.append(f"{name}={getattr(self, name)}")
+        return ";".join(parts)
 
     @property
     def server_interfaces(self) -> int:
@@ -287,3 +278,20 @@ class FlowSpec:
 
     def __str__(self) -> str:
         return self.label
+
+
+#: Identity-gated fields: ``field -> (gate field, default)``.  A field
+#: is left out of :attr:`FlowSpec.identity` while its gate field holds
+#: the default; the middlebox trio is gated together on ``middlebox``.
+_IDENTITY_GATES = {
+    "middlebox": ("middlebox", "none"),
+    "middlebox_path": ("middlebox", "none"),
+    "middlebox_prob": ("middlebox", "none"),
+    "path_manager": ("path_manager", "fullmesh"),
+    "workload": ("workload", "bulk"),
+    "path_pair": ("path_pair", "default"),
+    "world": ("world", "none"),
+    "failure": ("failure", "none"),
+}
+
+_IDENTITY_FIELDS = tuple(sorted(field.name for field in fields(FlowSpec)))

@@ -216,7 +216,8 @@ def execute_plan(plan: Sequence[RunDescriptor],
             else:
                 pending.append(position)
 
-        if cost_model is None:
+        if cost_model is None and pending:
+            # An all-hit pass dispatches nothing: skip the run-log parse.
             cost_model = _default_cost_model(run_log)
 
         def deliver(position: int, result: RunResult,

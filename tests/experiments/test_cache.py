@@ -1,11 +1,16 @@
 """The cross-campaign run cache: round-trips, invalidation,
 corruption tolerance, and journal/cache key unification."""
 
+import base64
 import json
 import os
+import struct
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cache import RunCache, cache_digest
 from repro.cache.store import CACHE_SCHEMA
@@ -14,8 +19,9 @@ from repro.experiments.config import FlowSpec
 from repro.experiments.runner import Campaign, CampaignSpec, \
     descriptor_key
 from repro.experiments.storage import FORMAT_VERSION, ResultJournal, \
-    result_to_dict
+    result_from_dict, result_to_dict
 from repro.wireless.profiles import TimeOfDay
+from tests.conftest import examples
 
 KB = 1024
 
@@ -201,6 +207,110 @@ def test_campaign_survives_corrupted_cache(tmp_path, baseline):
 
 
 # ----------------------------------------------------------------------
+# Packed sample lists
+# ----------------------------------------------------------------------
+
+def _bits(samples):
+    return [struct.pack("<d", value) for value in samples]
+
+
+def _from_bits(pattern):
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+#: Any double, by its bit pattern: NaN payloads, signed zeros,
+#: subnormals and infinities included.
+ANY_DOUBLE = st.one_of(st.floats(),
+                       st.integers(0, (1 << 64) - 1).map(_from_bits))
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -2.2250738585072e-308,
+                float("inf"), float("-inf"), float("nan"),
+                _from_bits(0x7FF0000000000001),   # signalling NaN
+                _from_bits(0xFFF8DEADBEEF0001)]   # negative NaN payload
+
+
+@settings(max_examples=examples(40))
+@given(ofo=st.lists(ANY_DOUBLE, max_size=40),
+       rtt=st.lists(ANY_DOUBLE, max_size=40))
+@example(ofo=EDGE_DOUBLES, rtt=EDGE_DOUBLES[::-1])
+@example(ofo=[], rtt=[])
+def test_packed_samples_round_trip_bit_exact(baseline, ofo, rtt):
+    """put -> reopen -> get hands back every sample by its bits."""
+    result = result_from_dict(result_to_dict(baseline[1], max_samples=None))
+    result.metrics.ofo_delays = list(ofo)
+    paths = sorted(result.metrics.per_path)
+    for index, path in enumerate(paths):
+        result.metrics.per_path[path].rtt_samples = rtt[index:]
+    with tempfile.TemporaryDirectory() as root:
+        with RunCache(root) as cache:
+            cache.put(result)
+            key = cache.key_of(result)
+        with RunCache(root) as cache:
+            restored = cache.get(key)
+    assert restored is not None
+    assert _bits(restored.metrics.ofo_delays) == _bits(ofo)
+    for index, path in enumerate(paths):
+        assert _bits(restored.metrics.per_path[path].rtt_samples) == \
+            _bits(rtt[index:])
+
+
+def test_stored_objects_hold_packed_samples(tmp_path, baseline):
+    result = baseline[1]
+    with RunCache(tmp_path) as cache:
+        cache.put(result)
+        digest = cache_digest(cache.key_of(result), FORMAT_VERSION)
+    stored = json.loads((tmp_path / "objects" / digest[:2]
+                         / f"{digest}.json").read_text())["result"]
+    for analysis in stored["metrics"]["per_path"].values():
+        assert isinstance(analysis["rtt_samples"], str)
+    raw = base64.b64decode(stored["metrics"]["ofo_delays"])
+    assert raw == struct.pack(f"<{len(result.metrics.ofo_delays)}d",
+                              *result.metrics.ofo_delays)
+
+
+@pytest.mark.parametrize("mangle", ["bad_base64", "ragged_length"])
+def test_mangled_packed_field_is_a_recomputed_miss(tmp_path, baseline,
+                                                   mangle):
+    spec = small_campaign()
+    root = tmp_path / "cache"
+    Campaign(spec, cache=str(root)).run()   # populate
+    with RunCache(root) as cache:
+        key = cache.key_of(baseline[1])
+    path = (root / "objects" / cache_digest(key, FORMAT_VERSION)[:2]
+            / f"{cache_digest(key, FORMAT_VERSION)}.json")
+    wrapper = json.loads(path.read_text())
+    metrics = wrapper["result"]["metrics"]
+    if mangle == "bad_base64":
+        metrics["ofo_delays"] = "not*base64!"
+    else:
+        first = sorted(metrics["per_path"])[0]
+        metrics["per_path"][first]["rtt_samples"] = \
+            base64.b64encode(bytes(12)).decode("ascii")
+    path.write_text(json.dumps(wrapper))
+    with RunCache(root) as cache:
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert cache.get(key) is None
+    with pytest.warns(RuntimeWarning, match="corrupt"):
+        results = Campaign(spec, cache=str(root)).run()
+    assert full_dicts(results) == full_dicts(baseline)
+
+
+def test_schema_1_store_is_wiped_on_open(tmp_path, baseline):
+    root = tmp_path / "cache"
+    with RunCache(root) as cache:
+        cache.put(baseline[0])
+        key = cache.key_of(baseline[0])
+    (root / "meta.json").write_text(json.dumps(
+        {"schema": 1, "format_version": FORMAT_VERSION}))
+    with RunCache(root) as cache:
+        assert cache.invalidated
+        assert len(cache) == 0
+        assert not (root / "objects").exists()
+        assert cache.get(key) is None
+    assert json.loads((root / "meta.json").read_text())["schema"] == \
+        CACHE_SCHEMA == 2
+
+
+# ----------------------------------------------------------------------
 # Campaign integration + key unification
 # ----------------------------------------------------------------------
 
@@ -287,3 +397,26 @@ def test_cache_hits_backfill_the_journal_and_vice_versa(tmp_path,
     assert len(fresh) == len(plan)
     assert fresh.puts == len(plan)
     fresh.close()
+
+
+def test_all_hit_pass_never_reads_the_run_log(tmp_path, baseline,
+                                              monkeypatch):
+    """With nothing to dispatch there is nothing to order: an all-hit
+    pass builds no cost model, so the run log is never parsed."""
+    from repro.cache import CostModel
+    from repro.experiments.parallel import execute_plan
+
+    spec = small_campaign()
+    plan = Campaign(spec).plan()
+    root = tmp_path / "cache"
+    run_log = tmp_path / "run_log.jsonl"
+    execute_plan(plan, cache=str(root), run_log=str(run_log))
+    assert run_log.exists()
+
+    def forbidden(path):
+        raise AssertionError(f"run log {path} parsed on an all-hit pass")
+
+    monkeypatch.setattr(CostModel, "from_run_log", forbidden)
+    restored = execute_plan(plan, cache=str(root), run_log=str(run_log),
+                            jobs=2)
+    assert full_dicts(restored) == full_dicts(baseline)
