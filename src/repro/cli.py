@@ -159,12 +159,15 @@ class _open_cache:
     either way so dispatch still learns across campaigns)."""
 
     def __init__(self, args: argparse.Namespace) -> None:
-        from repro.cache import CostModel
-        self.store = None
-        self.cost_model = CostModel()
-        if not args.no_cache:
-            from repro.cache import RunCache
-            self.store = RunCache(args.cache)
+        from repro.cache import CostModel, RunCache
+        self.store = None if args.no_cache else RunCache(args.cache)
+        #: The ``execute_plan`` keywords every campaign shares.
+        self.execution = dict(
+            jobs=args.jobs, journal=args.resume, cache=self.store,
+            cost_model=CostModel(), chunk=args.chunk, backend=args.backend,
+            hosts=(tuple(args.hosts) if args.hosts else None),
+            bind=args.bind, lease_timeout=args.lease_timeout,
+            worker_cache=args.worker_cache)
 
     def __enter__(self) -> "_open_cache":
         return self
@@ -174,8 +177,18 @@ class _open_cache:
             self.store.close()
 
 
+def _export_csv(args: argparse.Namespace, stem: str, headers: List[str],
+                rows: List[List[str]]) -> None:
+    """``--csv DIR``: write one table to ``DIR/<stem>.csv``."""
+    if args.csv:
+        path = Path(args.csv) / f"{stem}.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_csv(path, headers, rows)
+        print(f"wrote {path}")
+
+
 def _run_artifact(artifact: Artifact, args: argparse.Namespace,
-                  cache=None, cost_model=None) -> None:
+                  session: _open_cache) -> None:
     spec = _build_campaign(artifact, args)
     total = spec.total_runs()
     print(f"\n{artifact.title}")
@@ -213,19 +226,13 @@ def _run_artifact(artifact: Artifact, args: argparse.Namespace,
         from repro.perf import Instrumentation
         instrumentation = Instrumentation()
 
+    cache = session.store
     hits_before = cache.hits if cache is not None else 0
-    campaign = Campaign(spec, progress=progress, jobs=args.jobs,
-                        journal=args.resume,
+    campaign = Campaign(spec, progress=progress,
                         trace=args.trace, trace_dir=trace_dir,
                         run_log=run_log, heartbeat_dir=heartbeat_dir,
                         instrumentation=instrumentation,
-                        cache=cache, cost_model=cost_model,
-                        chunk=args.chunk,
-                        backend=args.backend,
-                        hosts=(tuple(args.hosts) if args.hosts else None),
-                        bind=args.bind,
-                        lease_timeout=args.lease_timeout,
-                        worker_cache=args.worker_cache)
+                        **session.execution)
     if renderer is not None:
         renderer.start()
     try:
@@ -255,13 +262,8 @@ def _run_artifact(artifact: Artifact, args: argparse.Namespace,
         headers, rows = builder(results)
         print(render_table(headers, rows, title=label))
         print()
-        if args.csv:
-            directory = Path(args.csv)
-            directory.mkdir(parents=True, exist_ok=True)
-            safe = label.replace(" ", "_")
-            path = directory / f"{artifact.name}_{safe}.csv"
-            write_csv(path, headers, rows)
-            print(f"wrote {path}")
+        _export_csv(args, f"{artifact.name}_{label.replace(' ', '_')}",
+                    headers, rows)
     if args.plot and artifact.plot is not None:
         print(artifact.plot(results))
         print()
@@ -302,8 +304,7 @@ def _report_tables(store) -> List[Tuple[str, List[str], List[List[str]]]]:
     ]
 
 
-def _run_report(args: argparse.Namespace, cache=None,
-                cost_model=None) -> None:
+def _run_report(args: argparse.Namespace, session: _open_cache) -> None:
     """The ``repro report`` artifact: run the SLA campaign with the
     metrics registry on, ingest everything into an analytics database,
     and render/export the SLA tables."""
@@ -322,18 +323,11 @@ def _run_report(args: argparse.Namespace, cache=None,
     print(f"running {total} measurements with metrics on...", flush=True)
     started = time.time()
     run_log = str(out_dir / "run_log.jsonl")
-    campaign = Campaign(spec, jobs=args.jobs, journal=args.resume,
-                        trace=args.trace,
+    campaign = Campaign(spec, trace=args.trace,
                         trace_dir=(str(out_dir) if args.trace != "off"
                                    else None),
                         run_log=run_log, metrics="on",
-                        cache=cache, cost_model=cost_model,
-                        chunk=args.chunk,
-                        backend=args.backend,
-                        hosts=(tuple(args.hosts) if args.hosts else None),
-                        bind=args.bind,
-                        lease_timeout=args.lease_timeout,
-                        worker_cache=args.worker_cache)
+                        **session.execution)
     results = campaign.run()
     save_results(out_dir / "report-results.jsonl", results)
     print(f"done in {time.time() - started:.1f}s "
@@ -597,9 +591,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
         print("run-campaign  run a JSON campaign definition (--file)")
         return 0
     if args.artifact == "report":
-        with _open_cache(args) as cache:
-            _run_report(args, cache=cache.store,
-                        cost_model=cache.cost_model)
+        with _open_cache(args) as session:
+            _run_report(args, session)
         return 0
     if args.artifact == "run-campaign":
         if not args.file:
@@ -612,16 +605,17 @@ def _main(argv: Optional[List[str]] = None) -> int:
             {"download time": scenarios.download_time_rows,
              "cellular share": scenarios.traffic_share_rows},
             plot=scenarios.download_time_plot)
-        with _open_cache(args) as cache:
-            _run_artifact(artifact, args, cache=cache.store,
-                          cost_model=cache.cost_model)
+        with _open_cache(args) as session:
+            _run_artifact(artifact, args, session)
         return 0
     if args.artifact == "scorecard":
         from repro.experiments.scorecard import render_scorecard, \
-            run_scorecard
+            run_scorecard, scorecard_rows
         seeds = tuple(range(args.seed, args.seed + max(args.reps, 3)))
-        results = run_scorecard(seeds=seeds)
+        with _open_cache(args) as session:
+            results = run_scorecard(seeds=seeds, **session.execution)
         print(render_scorecard(results))
+        _export_csv(args, "scorecard", *scorecard_rows(results))
         return 0 if all(result.passed for result in results) else 1
     if args.artifact == "validate":
         from repro.experiments.validation import render_checks, \
@@ -635,19 +629,17 @@ def _main(argv: Optional[List[str]] = None) -> int:
     # `repro all` computes each unique cell exactly once — fig2, fig3
     # and tab2 share the whole "baseline" matrix — and later campaigns
     # dispatch with wall times calibrated by the earlier ones.
-    with _open_cache(args) as cache:
+    with _open_cache(args) as session:
         for name in selected:
-            _run_artifact(artifacts[name], args, cache=cache.store,
-                          cost_model=cache.cost_model)
+            _run_artifact(artifacts[name], args, session)
         if args.artifact == "all":
             # The SLA report rides along at the end of `repro all`: its
             # cells carry distinct seeds (campaign name feeds seed
             # derivation), so it shares the cache session but never
             # collides with metrics-off cells from the artifacts above.
-            _run_report(args, cache=cache.store,
-                        cost_model=cache.cost_model)
-        if cache.store is not None and cache.store.hits:
-            stats = cache.store.stats()
+            _run_report(args, session)
+        if session.store is not None and session.store.hits:
+            stats = session.store.stats()
             print(f"run cache {args.cache}: {stats['hits']} hits / "
                   f"{stats['misses']} misses "
                   f"({stats['entries']} entries)")

@@ -488,62 +488,23 @@ class CampaignSpec:
 class Campaign:
     """Runs a :class:`CampaignSpec`, randomizing order per round.
 
-    ``jobs`` fans the measurements out over worker processes (each run
-    builds a fresh, independently seeded testbed, so the results list
-    is bit-for-bit identical to a serial run).  ``journal`` — a path or
-    a :class:`repro.experiments.storage.ResultJournal` — streams every
-    completed run to a JSON-lines file and skips cells already recorded
-    there, making interrupted campaigns resumable.
+    ``trace`` / ``trace_dir`` / ``metrics`` stamp every planned cell
+    (passive: they never change a result).  Every other keyword --
+    ``jobs``, ``journal``, ``cache``, ``backend``, ``progress``, ... --
+    is an execution knob passed unchanged to
+    :func:`repro.experiments.parallel.execute_plan`, which documents
+    them; whatever they say, the results list is bit-for-bit identical
+    to a serial run.
     """
 
-    def __init__(self, spec: CampaignSpec, progress=None,
-                 jobs: int = 1, journal=None,
-                 trace: str = "off", trace_dir: Optional[str] = None,
-                 metrics: str = "off",
-                 run_log: Optional[str] = None,
-                 heartbeat_dir: Optional[str] = None,
-                 instrumentation=None,
-                 cache=None, cost_model=None, chunk: int = 1,
-                 backend: str = "pool",
-                 hosts: Optional[Tuple[str, ...]] = None,
-                 bind: str = "127.0.0.1:0",
-                 advertise: Optional[str] = None,
-                 lease_timeout: float = 60.0,
-                 worker_cache: Optional[str] = None) -> None:
+    def __init__(self, spec: CampaignSpec, trace: str = "off",
+                 trace_dir: Optional[str] = None, metrics: str = "off",
+                 **execution) -> None:
         self.spec = spec
-        self.progress = progress
-        self.jobs = jobs
-        self.journal = journal
-        #: Cross-campaign run cache (a directory path or an open
-        #: :class:`repro.cache.RunCache`); cells already stored there
-        #: are restored instead of recomputed, across campaigns.
-        self.cache = cache
-        #: Dispatch under ``jobs > 1``: the cost model that ranks
-        #: cells longest-job-first and the tiny-cell chunk size.
-        #: Neither can change a single result byte — only wall-clock.
-        self.cost_model = cost_model
-        self.chunk = chunk
-        #: How workers are spawned once ``jobs`` > 1 — ``"pool"``
-        #: (forked locally), ``"subprocess"`` / ``"ssh"`` (``repro
-        #: worker`` commands, possibly on other machines) or ``"tcp"``
-        #: (attached by hand); all lease cells from one coordinator and
-        #: results stay byte-identical to serial execution.
-        self.backend = backend
-        self.hosts = hosts
-        self.bind = bind
-        self.advertise = advertise
-        self.lease_timeout = lease_timeout
-        self.worker_cache = worker_cache
-        #: Observability plumbing (all optional, all passive): per-run
-        #: protocol traces, the campaign run log, worker heartbeats for
-        #: ``--progress``, and the parent :class:`Instrumentation` that
-        #: worker phase timers are merged into.
         self.trace = trace
         self.trace_dir = trace_dir
         self.metrics = metrics
-        self.run_log = run_log
-        self.heartbeat_dir = heartbeat_dir
-        self.instrumentation = instrumentation
+        self.execution = execution
         self.results: List[RunResult] = []
 
     def plan(self) -> List["RunDescriptor"]:
@@ -579,21 +540,7 @@ class Campaign:
 
     def run(self) -> List[RunResult]:
         from repro.experiments.parallel import execute_plan
-        self.results = execute_plan(self.plan(), jobs=self.jobs,
-                                    progress=self.progress,
-                                    journal=self.journal,
-                                    run_log=self.run_log,
-                                    heartbeat_dir=self.heartbeat_dir,
-                                    instrumentation=self.instrumentation,
-                                    cache=self.cache,
-                                    cost_model=self.cost_model,
-                                    chunk=self.chunk,
-                                    backend=self.backend,
-                                    hosts=self.hosts,
-                                    bind=self.bind,
-                                    advertise=self.advertise,
-                                    lease_timeout=self.lease_timeout,
-                                    worker_cache=self.worker_cache)
+        self.results = execute_plan(self.plan(), **self.execution)
         return self.results
 
     # ------------------------------------------------------------------

@@ -1,51 +1,135 @@
-"""Tests for the reproduction scorecard."""
+"""Tests for the reproduction scorecard: the claims table, the margin
+rule and the evaluator."""
 
-from repro.experiments.scorecard import (
-    CLAIM_CHECKS,
-    ClaimResult,
-    _Lab,
-    _check_offload,
-    _check_small_flows,
-    render_scorecard,
-)
+import operator
+
+from hypothesis import given, strategies as st
+
+from repro.cache import RunCache
+from repro.cli import main
+from repro.experiments.config import FlowSpec
+from repro.experiments.runner import RunResult
+from repro.experiments.scorecard import CLAIMS, Claim, ClaimResult, \
+    Comparison, grade_claims, parse_comparisons, render_scorecard, \
+    run_scorecard
+from repro.trace.metrics import ConnectionMetrics
+from repro.wireless.profiles import TimeOfDay
+
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+       ">=": operator.ge}
+SPECS = (FlowSpec.single_path("wifi"), FlowSpec.single_path("cell"),
+         FlowSpec.mptcp())
+VALUES = st.floats(0, 1e4, allow_subnormal=False)
+
+
+def _run(spec, seed, share, completed=True):
+    return RunResult(spec=spec, size=1024, seed=seed,
+                     period=TimeOfDay.AFTERNOON, completed=completed,
+                     download_time=1.0 if completed else None,
+                     metrics=ConnectionMetrics(cellular_fraction=share))
+
+
+def _synthetic(comparisons):
+    """A row over the shares ``x``, ``y``, ``z`` of three 1 KB cells."""
+    return Claim("synthetic", "test", "synthetic row",
+                 {name: ("share", spec, 1024)
+                  for name, spec in zip("xyz", SPECS)}, comparisons)
 
 
 def test_claim_registry_covers_contributions():
-    """One check per Section 1 contribution bullet (and then some)."""
-    names = {check.__name__ for check in CLAIM_CHECKS}
-    assert len(names) == len(CLAIM_CHECKS) >= 7
-    for expected in ("_check_robustness", "_check_small_flows",
-                     "_check_large_flows", "_check_offload",
-                     "_check_controllers"):
-        assert expected in names
+    """13 uniquely named rows (each has its test in
+    ``test_paper_claims.py``); every comparison reads only its own
+    row's quantities."""
+    assert len({claim.claim_id for claim in CLAIMS}) == len(CLAIMS) == 13
+    for claim in CLAIMS:
+        for comparison in parse_comparisons(claim.comparisons):
+            assert {comparison.a, comparison.b} - {None} \
+                <= set(claim.quantities), claim.claim_id
+    assert parse_comparisons("a <= 1.35 b; a > b + 0.005; a < 0.25") == (
+        Comparison("a", "<=", "b", 1.35), Comparison("a", ">", "b", 1, 0.005),
+        Comparison("a", "<", c=0.25))
 
 
 def test_render_scorecard_format():
-    results = [
-        ClaimResult("a", "first claim", True, "detail one"),
-        ClaimResult("b", "second claim", False, "detail two"),
-    ]
-    text = render_scorecard(results)
-    assert "[PASS] a: first claim" in text
-    assert "[FAIL] b: second claim" in text
+    row = _synthetic("x < y")
+    text = render_scorecard([
+        ClaimResult(row, True, 0.25, "detail one"),
+        ClaimResult(row, False, None, "1 of 3 runs incomplete")])
+    assert "[PASS] synthetic: synthetic row [test]\n" \
+        "       detail one (margin +25.0%)\n[FAIL] synthetic" in text
+    assert "1 of 3 runs incomplete\n" in text
     assert "1/2 headline claims reproduced" in text
-    assert "detail one" in text
 
 
-def test_lab_caches_measurements():
-    from repro.experiments.config import FlowSpec
-
-    lab = _Lab(seeds=[81])
-    spec = FlowSpec.single_path("wifi")
-    first = lab.result(spec, 8 * 1024, 81)
-    second = lab.result(spec, 8 * 1024, 81)
-    assert first is second
+def test_shared_cells_execute_once(tmp_path):
+    """Two rows sharing the 8 KB MPTCP cell store it once; a second
+    evaluation over the same cache executes nothing."""
+    rows = [CLAIMS[1], CLAIMS[4]]   # small-flows, tiny-transfers
+    with RunCache(tmp_path) as cache:
+        cold = run_scorecard((81,), rows, cache=cache)
+        assert cache.puts == 3
+    with RunCache(tmp_path) as cache:
+        warm = run_scorecard((81,), rows, cache=cache)
+        assert (cache.misses, cache.hits) == (0, 3)
+    assert [(r.passed, r.margin, r.detail) for r in warm] == \
+        [(r.passed, r.margin, r.detail) for r in cold]
 
 
 def test_individual_checks_produce_grades():
-    lab = _Lab(seeds=[81, 82, 83])
-    small = _check_small_flows(lab)
-    assert small.claim_id == "small-flows"
-    assert small.passed, small.detail
-    offload = _check_offload(lab)
-    assert offload.passed, offload.detail
+    results = run_scorecard((81, 82, 83), [CLAIMS[1], CLAIMS[3]])
+    assert [r.claim.claim_id for r in results] == ["small-flows", "offload"]
+    assert all(r.passed for r in results), render_scorecard(results)
+
+
+def test_cli_scorecard_exits_1_on_incomplete_runs(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "repro.experiments.parallel.execute_plan",
+        lambda plan, **execution: [_run(cell.spec, cell.seed, 0.0, False)
+                                   for cell in plan])
+    assert main(["scorecard", "--no-cache"]) == 1
+    out = capsys.readouterr().out
+    assert "0/13 headline claims reproduced" in out
+    assert "runs incomplete" in out
+
+
+@given(a=st.one_of(st.none(), VALUES), b=VALUES, k=st.floats(0.01, 10),
+       op=st.sampled_from(sorted(OPS)))
+def test_margin_sign_matches_comparison(a, b, k, op):
+    """``a=None`` puts ``a`` exactly on the threshold ``k*b``, where
+    only the non-strict comparisons pass."""
+    a = k * b if a is None else a
+    comparison = Comparison("a", op, "b", k)
+    margin = comparison.margin({"a": a, "b": b})
+    assert comparison.holds(margin) == OPS[op](a, k * b)
+    assert (margin > 0) == (a != k * b and OPS[op](a, k * b))
+    assert (margin == 0) == (a == k * b)
+
+
+@given(shares=st.lists(VALUES, min_size=3, max_size=3),
+       clauses=st.lists(st.tuples(st.sampled_from("xyz"),
+                                  st.sampled_from(sorted(OPS)),
+                                  st.sampled_from("xyz"),
+                                  st.sampled_from([0.5, 1, 2])),
+                        min_size=1, max_size=4),
+       states=st.lists(st.sampled_from(["done", "incomplete", "missing"]),
+                       min_size=3, max_size=3))
+def test_row_margin_is_min_and_incomplete_runs_fail(shares, clauses,
+                                                    states):
+    """A row's margin is the minimum over its comparisons; one missing
+    or incomplete run fails the row without raising."""
+    claim = _synthetic("; ".join(f"{a} {op} {k} {b}"
+                                 for a, op, b, k in clauses))
+    runs = [_run(spec, 7, share, state == "done")
+            for spec, share, state in zip(SPECS, shares, states)
+            if state != "missing"]
+    [result] = grade_claims([claim], (7,), runs)
+    bad = 3 - states.count("done")
+    if bad:
+        assert (result.passed, result.margin) == (False, None)
+        assert result.detail == f"{bad} of 3 runs incomplete"
+        return
+    values = dict(zip("xyz", shares))
+    comparisons = parse_comparisons(claim.comparisons)
+    assert result.margin == min(c.margin(values) for c in comparisons)
+    assert result.passed == all(OPS[c.op](values[c.a], c.k * values[c.b])
+                                for c in comparisons)

@@ -1,173 +1,82 @@
-"""Integration tests asserting the paper's headline findings hold in
-the reproduction.
+"""The paper's headline findings hold in the reproduction: each test
+grades one row of :data:`repro.experiments.scorecard.CLAIMS` (the table
+``repro scorecard`` prints) on the tier-1 seeds, through one shared run
+cache.  These are the guardrails that keep recalibration honest."""
 
-Each test runs a handful of measurements (seconds of wall time) and
-checks the *qualitative* claim -- orderings and trends, not absolute
-numbers.  These are the guardrails that keep recalibration honest.
-"""
+import re
+from pathlib import Path
 
-import statistics
+import pytest
 
-
-from repro.experiments.config import FlowSpec
-from repro.experiments.runner import Measurement
-from repro.experiments.stats import ccdf_fraction_above
-
-KB = 1024
-MB = 1024 * 1024
+from repro.cache import RunCache
+from repro.experiments.scorecard import CLAIMS, render_scorecard, \
+    run_scorecard
 
 SEEDS = (11, 22, 33)
 
 
-def mean_time(spec, size, seeds=SEEDS):
-    times = [Measurement(spec, size, seed=seed).run().download_time
-             for seed in seeds]
-    assert all(t is not None for t in times)
-    return statistics.mean(times)
+@pytest.fixture(scope="module")
+def grade(tmp_path_factory):
+    with RunCache(tmp_path_factory.mktemp("claims-cache")) as cache:
+        def check(claim_id):
+            rows = [claim for claim in CLAIMS if claim.claim_id == claim_id]
+            results = run_scorecard(SEEDS, rows, cache=cache)
+            assert results[0].passed, render_scorecard(results)
+        yield check
 
 
-def mean_metric(spec, size, metric, seeds=SEEDS):
-    values = []
-    for seed in seeds:
-        result = Measurement(spec, size, seed=seed).run()
-        assert result.completed
-        values.append(metric(result))
-    return statistics.mean(values)
+def test_every_claim_row_has_one_test():
+    graded = re.findall(r'grade\("([\w-]+)"\)', Path(__file__).read_text())
+    assert sorted(graded) == sorted(claim.claim_id for claim in CLAIMS)
 
 
-def test_small_flows_wifi_wins_and_mptcp_tracks_it():
-    """Section 4: for <=64 KB, SP-WiFi is best (lower RTT) and MPTCP
-    performs like SP-WiFi, not like the cellular path."""
-    wifi = mean_time(FlowSpec.single_path("wifi"), 8 * KB)
-    att = mean_time(FlowSpec.single_path("cell", carrier="att"), 8 * KB)
-    mptcp = mean_time(FlowSpec.mptcp(carrier="att"), 8 * KB)
-    assert wifi < att
-    assert mptcp < att
-    assert mptcp <= wifi * 1.35
+def test_small_flows_wifi_wins_and_mptcp_tracks_it(grade):
+    grade("small-flows")
 
 
-def test_large_flows_lte_beats_wifi_and_mptcp_beats_both():
-    """Section 4.2: for large transfers the (loss-free) LTE path beats
-    the lossy WiFi path, and MPTCP outperforms the best single path."""
-    wifi = mean_time(FlowSpec.single_path("wifi"), 16 * MB)
-    att = mean_time(FlowSpec.single_path("cell", carrier="att"), 16 * MB)
-    mptcp = mean_time(FlowSpec.mptcp(carrier="att"), 16 * MB)
-    assert att < wifi
-    assert mptcp < att * 1.05
+def test_large_flows_lte_beats_wifi_and_mptcp_beats_both(grade):
+    grade("large-flows")
 
 
-def test_mptcp_robust_even_with_3g():
-    """MPTCP with Sprint 3G stays close to the best path (WiFi)."""
-    wifi = mean_time(FlowSpec.single_path("wifi"), 2 * MB)
-    sprint = mean_time(FlowSpec.single_path("cell", carrier="sprint"),
-                       2 * MB)
-    mptcp = mean_time(FlowSpec.mptcp(carrier="sprint"), 2 * MB)
-    assert wifi < sprint
-    assert mptcp < sprint
-    assert mptcp < wifi * 1.6
+def test_mptcp_robust_even_with_3g(grade):
+    grade("robustness")
 
 
-def test_cellular_fraction_grows_with_file_size():
-    """Figures 3/5/10: traffic offloads to cellular as size grows,
-    exceeding 50% for multi-MB transfers."""
-    spec = FlowSpec.mptcp(carrier="att")
-    fraction = {
-        size: mean_metric(spec, size,
-                          lambda r: r.metrics.cellular_fraction)
-        for size in (64 * KB, 512 * KB, 4 * MB)}
-    assert fraction[64 * KB] < 0.25
-    assert fraction[64 * KB] <= fraction[512 * KB] <= fraction[4 * MB]
-    assert fraction[4 * MB] > 0.5
+def test_cellular_fraction_grows_with_file_size(grade):
+    grade("offload")
 
 
-def test_tiny_transfers_never_use_cellular():
-    """Figure 5: at 8 KB the transfer finishes before the JOIN can
-    contribute."""
-    fraction = mean_metric(FlowSpec.mptcp(carrier="att"), 8 * KB,
-                           lambda r: r.metrics.cellular_fraction)
-    assert fraction < 0.05
+def test_tiny_transfers_never_use_cellular(grade):
+    grade("tiny-transfers")
 
 
-def test_four_paths_beat_two_paths():
-    """Figures 4/9: MP-4 outperforms MP-2 (more slow starts, pooling)."""
-    for size in (512 * KB, 8 * MB):
-        two = mean_time(FlowSpec.mptcp(carrier="att", paths=2), size)
-        four = mean_time(FlowSpec.mptcp(carrier="att", paths=4), size)
-        assert four < two * 1.1, f"MP-4 should not lose at {size}"
+def test_four_paths_beat_two_paths(grade):
+    grade("four-paths")
 
 
-def test_wifi_lossier_but_faster_than_lte():
-    """Table 2 orderings: WiFi loss >> LTE loss; WiFi RTT << LTE RTT."""
-    wifi_run = Measurement(FlowSpec.single_path("wifi"), 2 * MB,
-                           seed=7).run()
-    att_run = Measurement(FlowSpec.single_path("cell", carrier="att"),
-                          2 * MB, seed=7).run()
-    assert wifi_run.metrics.loss_rate("wifi") > \
-        att_run.metrics.loss_rate("att") + 0.005
-    assert wifi_run.metrics.mean_rtt("wifi") < \
-        att_run.metrics.mean_rtt("att")
+def test_wifi_lossier_but_faster_than_lte(grade):
+    grade("wifi-lossy-fast")
 
 
-def test_cellular_rtt_inflates_with_flow_size():
-    """Section 5.1 (bufferbloat): per-connection mean RTT grows with
-    transfer size on cellular, stays flat on WiFi."""
-    att = FlowSpec.single_path("cell", carrier="att")
-    small = mean_metric(att, 64 * KB, lambda r: r.metrics.mean_rtt("att"))
-    large = mean_metric(att, 16 * MB, lambda r: r.metrics.mean_rtt("att"))
-    assert large > small * 1.15
-    wifi = FlowSpec.single_path("wifi")
-    wifi_small = mean_metric(wifi, 64 * KB,
-                             lambda r: r.metrics.mean_rtt("wifi"))
-    wifi_large = mean_metric(wifi, 16 * MB,
-                             lambda r: r.metrics.mean_rtt("wifi"))
-    assert wifi_large < wifi_small * 2.0
+def test_cellular_rtt_inflates_with_flow_size(grade):
+    grade("bufferbloat")
 
 
-def test_rtt_ordering_sprint_worst_wifi_best():
-    """Figure 12: RTT distributions order WiFi < AT&T < Sprint."""
-    size = 4 * MB
-    rtts = {}
-    for carrier in ("att", "sprint"):
-        spec = FlowSpec.single_path("cell", carrier=carrier)
-        rtts[carrier] = mean_metric(
-            spec, size, lambda r, c=carrier: r.metrics.mean_rtt(c))
-    wifi_rtt = mean_metric(FlowSpec.single_path("wifi"), size,
-                           lambda r: r.metrics.mean_rtt("wifi"))
-    assert wifi_rtt < rtts["att"] < rtts["sprint"]
+def test_rtt_ordering_sprint_worst_wifi_best(grade):
+    grade("rtt-ordering")
 
 
-def test_sprint_mptcp_has_worst_reordering():
-    """Figure 13 / Table 6: the 3G+WiFi pairing reorders far more than
-    LTE+WiFi, with a heavy >150 ms tail."""
-    size = 8 * MB
-
-    def ofo_above_150ms(result):
-        return ccdf_fraction_above(result.metrics.ofo_delays, 0.150)
-
-    att = mean_metric(FlowSpec.mptcp(carrier="att"), size,
-                      ofo_above_150ms)
-    sprint = mean_metric(FlowSpec.mptcp(carrier="sprint"), size,
-                         ofo_above_150ms)
-    assert sprint > att
-    assert sprint > 0.05
+def test_sprint_mptcp_has_worst_reordering(grade):
+    grade("reordering")
 
 
-def test_simultaneous_syn_helps_midsize_flows():
-    """Figure 8: simultaneous SYN reduces mid-size download times."""
-    delayed = FlowSpec.mptcp(carrier="att")
-    simultaneous = delayed.with_(simultaneous_syn=True)
-    seeds = tuple(range(40, 52))
-    d = mean_time(delayed, 512 * KB, seeds=seeds)
-    s = mean_time(simultaneous, 512 * KB, seeds=seeds)
-    assert s <= d * 1.02  # at worst a wash, typically a real win
+def test_simultaneous_syn_helps_midsize_flows(grade):
+    grade("simultaneous-syn")
 
 
-def test_public_wifi_makes_cellular_more_attractive():
-    """Figures 6/7: on a loaded hotspot, MPTCP leans on cellular more
-    than it does on home WiFi."""
-    size = 512 * KB
-    home = mean_metric(FlowSpec.mptcp(carrier="att", wifi="home"), size,
-                       lambda r: r.metrics.cellular_fraction)
-    public = mean_metric(FlowSpec.mptcp(carrier="att", wifi="public"),
-                         size, lambda r: r.metrics.cellular_fraction)
-    assert public > home
+def test_public_wifi_makes_cellular_more_attractive(grade):
+    grade("public-wifi")
+
+
+def test_controller_ordering_reno_olia_coupled(grade):
+    grade("controllers")
