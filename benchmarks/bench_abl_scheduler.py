@@ -23,7 +23,7 @@ least the 3G/WiFi RTT gap; minRTT stays near the oracle on bulk.
 import random
 import statistics
 
-from benchmarks.conftest import BENCH_REPS, PERIODS, emit
+from benchmarks.conftest import BENCH_REPS, emit
 from repro.app.http import HTTP_PORT, HttpServerSession
 from repro.app.video import StreamingProfile, VideoSession
 from repro.core.connection import MptcpConfig, MptcpConnection, \
@@ -108,7 +108,7 @@ def test_ablation_scheduler(benchmark):
 
 def test_scheduler_lab(campaign_runner):
     results = campaign_runner(scheduler_lab_campaign(
-        repetitions=BENCH_REPS, periods=PERIODS))
+        repetitions=BENCH_REPS))
     headers, rows = scheduler_regret_rows(results)
     emit("sched_lab",
          "Scheduler lab: policy x workload x path pair, regret vs "

@@ -1,17 +1,18 @@
-"""Shared infrastructure for the paper-reproduction benchmarks.
+"""Shared infrastructure for the ablation and extension benchmarks.
 
-Every benchmark regenerates one table or figure of the paper: it runs
-the corresponding measurement campaign once (``benchmark.pedantic``
-with a single round -- the campaign *is* the workload), prints the
-rows/series the paper reports, and writes them as CSV next to this
-file under ``benchmarks/output/``.
+The paper's campaign artifacts (Figs 2-13, Tabs 2-6) are regenerated
+and graded by the CLI (``repro all``).  What lives here are the studies
+the CLI does not run: the four ablations of Section 3.1's design
+decisions (``bench_abl_*``), the extension studies (``bench_ext_*``)
+and Table 7's video sessions (``bench_tab07_video.py``).  Each runs its
+workload once (``benchmark.pedantic`` with a single round -- the study
+*is* the workload), prints its rows, asserts the study's expected
+shape, and writes the rows as CSV under ``benchmarks/output/``.
 
 Environment knobs:
 
-* ``REPRO_BENCH_REPS``  -- repetitions per configuration cell
-  (default 2; the paper used 20 per period).
-* ``REPRO_BENCH_FULL``  -- set to 1 to run full-size experiments
-  (all four day periods, 512 MB backlog for Figure 11).
+* ``REPRO_BENCH_REPS``  -- repetitions (seeds) per configuration
+  (default 2).
 * ``REPRO_BENCH_JOBS``  -- worker processes per campaign (default:
   one per CPU core; results are bit-identical to a serial run).
 * ``REPRO_BENCH_JOURNAL`` -- path of a resume journal: completed
@@ -29,18 +30,12 @@ import pytest
 
 from repro.experiments.report import render_table, write_csv
 from repro.experiments.runner import Campaign, CampaignSpec, RunResult
-from repro.wireless.profiles import TimeOfDay
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 BENCH_REPS = int(os.environ.get("REPRO_BENCH_REPS", "2"))
-BENCH_FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0"))  # 0 = all cores
 BENCH_JOURNAL = os.environ.get("REPRO_BENCH_JOURNAL") or None
-
-#: Period sets: quick runs sample one period; full runs cover the day.
-PERIODS = (tuple(TimeOfDay) if BENCH_FULL
-           else (TimeOfDay.AFTERNOON,))
 
 
 def run_campaign(spec: CampaignSpec) -> List[RunResult]:

@@ -12,8 +12,9 @@ Examples::
                                 # all cores; interrupt + re-run resumes
 
 Each command runs the corresponding measurement campaign (fresh
-simulations -- expect seconds to minutes depending on repetitions) and
-prints the same rows/series the paper reports.
+simulations -- expect seconds to minutes depending on repetitions),
+prints the same rows/series the paper reports, and grades the
+artifact's rows of the claims table (exit 1 when one fails).
 """
 
 from __future__ import annotations
@@ -187,8 +188,29 @@ def _export_csv(args: argparse.Namespace, stem: str, headers: List[str],
         print(f"wrote {path}")
 
 
+def _grade_artifact(artifact: Artifact, spec: CampaignSpec,
+                    results: List[RunResult]) -> bool:
+    """Print the grades of the claim rows stated on this campaign's
+    cells (``fig11 --full`` runs none of its 32 MB cells); ``False``
+    when one fails."""
+    from repro.experiments.scorecard import CLAIMS, grade_claims, \
+        render_grades
+    cells = {(flow, size) for flow in spec.specs for size in spec.sizes}
+    claims = [claim for claim in CLAIMS if claim.artifact == artifact.name
+              and all((flow, size) in cells
+                      for _, flow, size in claim.quantities.values())]
+    if not claims:
+        return True
+    graded = grade_claims(claims, (), results)
+    print(render_grades(graded))
+    print()
+    return all(result.passed for result in graded)
+
+
 def _run_artifact(artifact: Artifact, args: argparse.Namespace,
-                  session: _open_cache) -> None:
+                  session: _open_cache) -> bool:
+    """Run one artifact's campaign, print (and export) its tables, and
+    grade its claim rows: ``False`` when one fails."""
     spec = _build_campaign(artifact, args)
     total = spec.total_runs()
     print(f"\n{artifact.title}")
@@ -264,6 +286,7 @@ def _run_artifact(artifact: Artifact, args: argparse.Namespace,
         print()
         _export_csv(args, f"{artifact.name}_{label.replace(' ', '_')}",
                     headers, rows)
+    passed = _grade_artifact(artifact, spec, results)
     if args.plot and artifact.plot is not None:
         print(artifact.plot(results))
         print()
@@ -271,6 +294,7 @@ def _run_artifact(artifact: Artifact, args: argparse.Namespace,
         from repro.experiments.storage import save_results
         written = save_results(args.save, results, append=True)
         print(f"appended {written} results to {args.save}")
+    return passed
 
 
 def _report_cell(value) -> str:
@@ -606,8 +630,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
              "cellular share": scenarios.traffic_share_rows},
             plot=scenarios.download_time_plot)
         with _open_cache(args) as session:
-            _run_artifact(artifact, args, session)
-        return 0
+            return 0 if _run_artifact(artifact, args, session) else 1
     if args.artifact == "scorecard":
         from repro.experiments.scorecard import render_scorecard, \
             run_scorecard, scorecard_rows
@@ -630,8 +653,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
     # and tab2 share the whole "baseline" matrix — and later campaigns
     # dispatch with wall times calibrated by the earlier ones.
     with _open_cache(args) as session:
-        for name in selected:
-            _run_artifact(artifacts[name], args, session)
+        passed = [_run_artifact(artifacts[name], args, session)
+                  for name in selected]
         if args.artifact == "all":
             # The SLA report rides along at the end of `repro all`: its
             # cells carry distinct seeds (campaign name feeds seed
@@ -643,7 +666,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
             print(f"run cache {args.cache}: {stats['hits']} hits / "
                   f"{stats['misses']} misses "
                   f"({stats['entries']} entries)")
-    return 0
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":

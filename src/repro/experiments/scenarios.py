@@ -2,9 +2,9 @@
 
 Each ``*_campaign`` function builds the measurement matrix of one
 evaluation artifact; each ``*_rows`` function turns campaign results
-into exactly the rows/series that artifact reports.  The benchmarks in
-``benchmarks/`` are thin wrappers that run a campaign and print/export
-these rows.
+into exactly the rows/series that artifact reports.  The CLI's
+artifacts (``repro fig2`` ... ``repro tab6``) run a campaign and
+print/export these rows.
 """
 
 from __future__ import annotations
@@ -385,8 +385,7 @@ def path_characteristics_rows(results: Sequence[RunResult],
         for result in bucket:
             if not result.completed:
                 continue
-            analysis = result.metrics.per_path.get(path) or \
-                result.metrics.per_path.get("public-wifi")
+            analysis = result.metrics.per_path.get(path)
             if analysis is None:
                 continue
             losses.append(analysis.loss_rate)
@@ -424,7 +423,7 @@ def rtt_ccdf_rows(results: Sequence[RunResult]
     for result in results:
         if result.spec.mode != "mp" or not result.completed:
             continue
-        for path in ("wifi", "public-wifi", result.spec.carrier):
+        for path in ("wifi", result.spec.carrier):
             samples = result.metrics.rtt_samples(path)
             if samples:
                 key = (result.spec.carrier, path, result.size)
@@ -477,8 +476,7 @@ def mptcp_rtt_ofo_rows(results: Sequence[RunResult]
             cell_samples = result.metrics.rtt_samples(spec.carrier)
             if cell_samples:
                 cell_rtts.append(sum(cell_samples) / len(cell_samples))
-            wifi_samples = (result.metrics.rtt_samples("wifi")
-                            or result.metrics.rtt_samples("public-wifi"))
+            wifi_samples = result.metrics.rtt_samples("wifi")
             if wifi_samples:
                 wifi_rtts.append(sum(wifi_samples) / len(wifi_samples))
             if result.metrics.ofo_delays:
@@ -673,12 +671,10 @@ def rtt_ccdf_plot(results: Sequence[RunResult],
         if (result.spec.mode != "mp" or not result.completed
                 or result.size != target):
             continue
-        for path in ("wifi", "public-wifi", result.spec.carrier):
+        for path in ("wifi", result.spec.carrier):
             samples = result.metrics.rtt_samples(path)
             if samples:
-                label = (path if path.endswith("wifi")
-                         else f"{result.spec.carrier}")
-                pooled.setdefault(label, []).extend(
+                pooled.setdefault(path, []).extend(
                     [value * 1000 for value in samples])
     series = {label: ccdf(samples) for label, samples in pooled.items()}
     title = f"packet RTT CCDF at {format_bytes(target)}"

@@ -1,11 +1,18 @@
-"""The reproduction scorecard: the paper's headline claims as one table.
+"""The reproduction scorecard: the paper's claims as one table.
 
 Each :class:`Claim` row names the figure or section it comes from, the
-cells it reads and the comparisons their reductions must satisfy.
-:func:`run_scorecard` runs the cells through ``execute_plan`` (so the
-run cache, ``--jobs`` and every backend apply) and grades each row by
-its margin: ``repro scorecard`` prints the grades, and
-``tests/integration/test_paper_claims.py`` asserts them, one per row.
+cells it reads and the comparisons their reductions must satisfy, and
+:func:`grade_claims` grades every row by its margin.  Two kinds of row
+share the table:
+
+* a *seed* row (no ``artifact``) reads explicit seeds:
+  :func:`run_scorecard` runs its cells through ``execute_plan`` (so the
+  run cache, ``--jobs`` and every backend apply), ``repro scorecard``
+  prints the grades and ``tests/integration/test_paper_claims.py``
+  asserts them, one per row;
+* an *artifact* row reads every run of its cells in one CLI artifact's
+  campaign: ``repro fig5`` (and ``repro all``) grades it after the
+  tables and exits 1 when it fails.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import re
 import statistics
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.config import FlowSpec
 from repro.experiments.runner import RunDescriptor, RunResult
@@ -28,21 +35,31 @@ def _path(run: RunResult) -> str:
     return "wifi" if run.spec.interface == "wifi" else run.spec.carrier
 
 
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1000:.0f} ms"
+
+
 #: reading -> (what one run contributes, how a cell's runs reduce, how
 #: the value prints).  Download times reduce by median, robust to one
 #: unlucky RTO in a small sample like the paper's box-plot medians;
-#: ``rtt`` and ``loss`` read the one path of a single-path spec.
+#: ``rtt`` and ``loss`` read the spec's own path (an MPTCP spec's is its
+#: WiFi subflows), ``cell_rtt`` the carrier's.
 _READINGS = {
     "time": (lambda run: run.download_time, statistics.median,
              lambda t: f"{t:.3f}s" if t < 1 else f"{t:.3g}s"),
     "share": (lambda run: run.metrics.cellular_fraction, statistics.mean,
               "{:.0%}".format),
     "rtt": (lambda run: run.metrics.mean_rtt(_path(run)), statistics.mean,
-            lambda rtt: f"{rtt * 1000:.0f} ms"),
+            _ms),
+    "cell_rtt": (lambda run: run.metrics.mean_rtt(run.spec.carrier),
+                 statistics.mean, _ms),
     "loss": (lambda run: run.metrics.loss_rate(_path(run)),
              statistics.mean, "{:.2%}".format),
     "ofo": (lambda run: ccdf_fraction_above(run.metrics.ofo_delays, 0.150),
             statistics.mean, "{:.1%}".format),
+    "in_order": (
+        lambda run: 1 - ccdf_fraction_above(run.metrics.ofo_delays, 1e-9),
+        statistics.mean, "{:.0%}".format),
 }
 
 
@@ -96,6 +113,10 @@ class Claim:
     #: Runs per cell when a row needs more than the caller's seeds; the
     #: seed list is extended consecutively past its last entry.
     samples: int = 0
+    #: The CLI artifact (``"fig5"``) whose campaign the row is graded
+    #: on: each cell then reduces over every run the campaign made of
+    #: it, whatever the seeds.  ``None`` for a seed row.
+    artifact: Optional[str] = None
 
     def seeds(self, seeds: Sequence[int]) -> Tuple[int, ...]:
         last = seeds[-1]
@@ -129,6 +150,15 @@ SP = {name: FlowSpec.single_path("cell", carrier=name.lower())
 MP_ON = {f"MP_{name}": MP.with_(carrier=spec.carrier)
          for name, spec in SP.items()}
 MP4 = MP.with_(paths=4)
+#: Every MPTCP config of the small- and large-flow campaigns.
+MP_CONFIGS = {f"MP{paths}" + ("" if cc == "coupled" else f"_{cc}"):
+              MP.with_(paths=paths, controller=cc)
+              for paths in (2, 4) for cc in ("coupled", "olia", "reno")}
+#: The coffee-shop configs: the loaded public hotspot instead of home.
+HOTSPOT = {name: spec.with_(wifi="public")
+           for name, spec in (("WiFi", WIFI), ("LTE", SP["ATT"]),
+                              ("MPTCP", MP))}
+LARGE = {f"{n}MB": n * MB for n in (4, 8, 16, 32)}
 
 CLAIMS: Tuple[Claim, ...] = (
     Claim("robustness", "Fig 2",
@@ -159,7 +189,7 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("four-paths", "Figs 4/9", "4-path MPTCP outperforms 2-path",
           {**_at("time", 512 * KB, MP2_512KB=MP, MP4_512KB=MP4),
            **_at("time", 8 * MB, MP2_8MB=MP, MP4_8MB=MP4)},
-          "MP4_512KB < 1.1 MP2_512KB; MP4_8MB < 1.1 MP2_8MB"),
+          "MP4_512KB < 1.05 MP2_512KB; MP4_8MB < 1.05 MP2_8MB"),
     Claim("wifi-lossy-fast", "Tab 2",
           "at 2 MB WiFi loses more packets than LTE yet has the lower RTT",
           {**_at("loss", 2 * MB, WiFi_loss=WIFI, LTE_loss=SP["ATT"]),
@@ -194,28 +224,147 @@ CLAIMS: Tuple[Claim, ...] = (
           _at("time", 8 * MB, reno=MP.with_(controller="reno"),
               olia=MP.with_(controller="olia"), coupled=MP),
           "reno < 1.02 coupled; olia < 1.1 coupled"),
+    # Artifact rows: ``repro <artifact>`` grades each on its campaign.
+    Claim("fig2", "Fig 2", "16 MB: MPTCP over AT&T beats SP-WiFi",
+          _at("time", 16 * MB, MP_ATT=MP, WiFi=WIFI), "MP_ATT < WiFi",
+          artifact="fig2"),
+    Claim("fig3", "Fig 3",
+          "AT&T's share grows with size; 3G carries less than LTE",
+          {**_at("share", 64 * KB, ATT_64KB=MP),
+           **_at("share", 16 * MB, ATT_16MB=MP,
+                 Sprint_16MB=MP_ON["MP_Sprint"])},
+          "ATT_64KB < ATT_16MB; Sprint_16MB < ATT_16MB", artifact="fig3"),
+    Claim("fig4", "Fig 4",
+          "8 KB: WiFi and MPTCP beat LTE; 4 MB: 4 paths keep pace with 2",
+          {**_at("time", 8 * KB, WiFi=WIFI, LTE=SP["ATT"], MPTCP=MP),
+           **_at("time", 4 * MB, MP2_4MB=MP, MP4_4MB=MP4)},
+          "WiFi < LTE; MPTCP < LTE; MP4_4MB < 1.05 MP2_4MB",
+          artifact="fig4"),
+    Claim("fig5", "Fig 5",
+          "8 KB stays off cellular; MP-2's share passes half by 4 MB",
+          {**_at("share", 8 * KB, MP_8KB=MP),
+           **_at("share", 512 * KB, MP_512KB=MP),
+           **_at("share", 4 * MB, MP_4MB=MP)},
+          "MP_8KB < 0.05; MP_8KB <= MP_512KB; MP_4MB > 0.5",
+          artifact="fig5"),
+    Claim("fig6", "Fig 6",
+          "loaded hotspot, 512 KB: LTE beats WiFi; MPTCP tracks the better",
+          _at("time", 512 * KB, **HOTSPOT),
+          "LTE < WiFi; MPTCP < 1.5 LTE; MPTCP < 1.5 WiFi", artifact="fig6"),
+    Claim("fig7", "Fig 7",
+          "loaded hotspot: most of a 512 KB flow rides cellular (home: 24%)",
+          _at("share", 512 * KB, MPTCP=HOTSPOT["MPTCP"]), "MPTCP > 0.5",
+          artifact="fig7"),
+    Claim("fig8", "Fig 8",
+          "simultaneous SYN is at worst a wash for 512 KB flows",
+          _at("time", 512 * KB, delayed=MP,
+              simultaneous=MP.with_(simultaneous_syn=True)),
+          "simultaneous <= 1.02 delayed", artifact="fig8"),
+    Claim("fig9", "Fig 9",
+          "8/32 MB: MPTCP beats the best single path; MP-4 keeps pace",
+          {f"{name}_{label}": ("time", spec, LARGE[label])
+           for label in ("8MB", "32MB")
+           for name, spec in (("WiFi", WIFI), ("LTE", SP["ATT"]),
+                              ("MP2", MP), ("MP4", MP4))},
+          "; ".join(f"MP2_{s} < 1.05 WiFi_{s}; MP2_{s} < 1.05 LTE_{s}; "
+                    f"MP4_{s} < 1.05 MP2_{s}" for s in ("8MB", "32MB")),
+          artifact="fig9"),
+    Claim("fig10", "Fig 10",
+          "4-32 MB: cellular carries over half (reno: over 40%) everywhere",
+          {f"{name}_{label}": ("share", spec, size)
+           for name, spec in MP_CONFIGS.items()
+           for label, size in LARGE.items()},
+          "; ".join(f"{name}_{label} > {0.4 if 'reno' in name else 0.5}"
+                    for name in MP_CONFIGS for label in LARGE),
+          lambda v: "lowest share: coupled/olia "
+          f"{min(x for n, x in v.items() if 'reno' not in n):.0%}, reno "
+          f"{min(x for n, x in v.items() if 'reno' in n):.0%}",
+          artifact="fig10"),
+    Claim("fig11", "Fig 11",
+          "32 MB backlog: MP-4 keeps pace with MP-2, reno with coupled",
+          _at("time", 32 * MB, MP2=MP, MP4=MP4,
+              MP4_reno=MP_CONFIGS["MP4_reno"]),
+          "MP4 < 1.05 MP2; MP4_reno < 1.02 MP4", artifact="fig11"),
+    Claim("fig12", "Fig 12",
+          "16 MB MPTCP subflow RTTs order WiFi < AT&T < Sprint",
+          {**_at("rtt", 16 * MB, WiFi=MP),
+           **_at("cell_rtt", 16 * MB, ATT=MP, Sprint=MP_ON["MP_Sprint"])},
+          "WiFi < ATT; ATT < Sprint", artifact="fig12"),
+    Claim("fig13", "Fig 13",
+          "16 MB: AT&T delivers more in order than Sprint, which mostly "
+          "reorders",
+          _at("in_order", 16 * MB, ATT=MP, Sprint=MP_ON["MP_Sprint"]),
+          "ATT > Sprint; Sprint < 0.5", artifact="fig13"),
+    Claim("tab2", "Tab 2",
+          "16 MB RTTs order WiFi < AT&T < Sprint; AT&T's grows with size",
+          {**_at("rtt", 16 * MB, WiFi=WIFI, ATT=SP["ATT"],
+                 Sprint=SP["Sprint"]),
+           **_at("rtt", 64 * KB, ATT_64KB=SP["ATT"])},
+          "WiFi < ATT; ATT < Sprint; ATT > 1.15 ATT_64KB", artifact="tab2"),
+    Claim("tab3", "Tab 3",
+          "AT&T is loss-free at 64 KB; WiFi's 4 MB RTT stays below AT&T's",
+          {**_at("loss", 64 * KB, ATT_loss=SP["ATT"]),
+           **_at("rtt", 4 * MB, WiFi_RTT=WIFI, ATT_RTT=SP["ATT"])},
+          "ATT_loss < 0.005; WiFi_RTT < ATT_RTT", artifact="tab3"),
+    Claim("tab4", "Tab 4",
+          "512 KB: hotspot WiFi loses over 1%; AT&T stays clean",
+          _at("loss", 512 * KB, WiFi=HOTSPOT["WiFi"], LTE=HOTSPOT["LTE"]),
+          "WiFi > 0.01; LTE < 0.005", artifact="tab4"),
+    Claim("tab5", "Tab 5",
+          "4-32 MB: WiFi lossy with a low RTT, AT&T clean but queued",
+          {f"{name}_{reading}_{label}": (reading, spec, size)
+           for name, spec in (("WiFi", WIFI), ("ATT", SP["ATT"]))
+           for reading in ("loss", "rtt") for label, size in LARGE.items()},
+          "; ".join(f"WiFi_loss_{s} > 0.005; WiFi_rtt_{s} < 0.08; "
+                    f"ATT_loss_{s} < 0.01; ATT_rtt_{s} > 0.06"
+                    for s in LARGE),
+          lambda v: "WiFi loss "
+          f"{min(v['WiFi_loss_' + s] for s in LARGE):.2%}+, RTT <= "
+          f"{_ms(max(v['WiFi_rtt_' + s] for s in LARGE))}; AT&T loss <= "
+          f"{max(v['ATT_loss_' + s] for s in LARGE):.2%}, RTT "
+          f"{_ms(min(v['ATT_rtt_' + s] for s in LARGE))}+",
+          artifact="tab5"),
+    Claim("tab6", "Tab 6",
+          "every MPTCP WiFi subflow RTT < 120 ms; Sprint reorders more "
+          "than AT&T (16 MB)",
+          {**{f"WiFi_{c}_{label}": ("rtt", MP_ON["MP_" + c], size)
+              for c in SP for label, size in LARGE.items()},
+           **_at("ofo", 16 * MB, ATT=MP, Sprint=MP_ON["MP_Sprint"])},
+          "; ".join(f"WiFi_{c}_{s} < 0.12" for c in SP for s in LARGE)
+          + "; ATT < Sprint",
+          lambda v: "worst WiFi subflow RTT "
+          f"{_ms(max(x for n, x in v.items() if n.startswith('WiFi')))}; "
+          f"OFO > 150 ms: AT&T {v['ATT']:.1%}, Sprint {v['Sprint']:.1%}",
+          artifact="tab6"),
 )
 
 
 def grade_claims(claims: Sequence[Claim], seeds: Sequence[int],
                  results: Sequence[RunResult]) -> List[ClaimResult]:
-    """Grade each row from executed runs.  A row with any run missing
-    or incomplete fails without raising."""
-    runs = {(run.spec, run.size, run.seed): run for run in results}
+    """Grade each row from executed runs: a seed row over ``seeds``,
+    an artifact row over every run of its cells.  A row with any run
+    missing or incomplete fails without raising."""
+    by_seed = {(run.spec, run.size, run.seed): run for run in results}
+    by_cell: Dict[Tuple[FlowSpec, int], List[RunResult]] = {}
+    for run in results:
+        by_cell.setdefault((run.spec, run.size), []).append(run)
     graded = []
     for claim in claims:
-        cells = claim.cells(seeds)
-        bad = sum(1 for cell in cells
-                  if cell not in runs or not runs[cell].completed)
+        # (spec, size) -> its runs, ``None`` standing for a missing one.
+        cells = {(spec, size): (
+            by_cell.get((spec, size), [None]) if claim.artifact else
+            [by_seed.get((spec, size, seed)) for seed in claim.seeds(seeds)])
+            for _, spec, size in claim.quantities.values()}
+        runs = [run for bucket in cells.values() for run in bucket]
+        bad = sum(1 for run in runs if run is None or not run.completed)
         if bad:
             graded.append(ClaimResult(
-                claim, False, None, f"{bad} of {len(cells)} runs incomplete"))
+                claim, False, None, f"{bad} of {len(runs)} runs incomplete"))
             continue
         values = {}
         for name, (reading, spec, size) in claim.quantities.items():
             read, reduce, _ = _READINGS[reading]
-            values[name] = reduce([read(runs[spec, size, seed])
-                                   for seed in claim.seeds(seeds)])
+            values[name] = reduce([read(run) for run in cells[spec, size]])
         margins = {comparison: comparison.margin(values)
                    for comparison in parse_comparisons(claim.comparisons)}
         detail = (claim.detail(values) if claim.detail else ", ".join(
@@ -230,10 +379,11 @@ def grade_claims(claims: Sequence[Claim], seeds: Sequence[int],
 def run_scorecard(seeds: Sequence[int] = (71, 72, 73),
                   claims: Sequence[Claim] = CLAIMS,
                   **execution) -> List[ClaimResult]:
-    """Run every cell ``claims`` need, once each, through
-    ``execute_plan`` (``execution`` -- ``jobs``, ``cache``,
-    ``backend``, ... -- passes straight through) and grade the rows."""
+    """Run every cell the seed rows of ``claims`` need, once each,
+    through ``execute_plan`` (``execution`` -- ``jobs``, ``cache``,
+    ``backend``, ... -- passes straight through) and grade those rows."""
     from repro.experiments.parallel import execute_plan
+    claims = [claim for claim in claims if claim.artifact is None]
     cells = dict.fromkeys(cell for claim in claims
                           for cell in claim.cells(seeds))
     plan = [RunDescriptor(index=index, spec=spec, size=size, seed=seed,
@@ -252,8 +402,9 @@ def scorecard_rows(results: Sequence[ClaimResult]
               result.detail] for result in results])
 
 
-def render_scorecard(results: Sequence[ClaimResult]) -> str:
-    lines = ["Paper reproduction scorecard", "=" * 60]
+def render_grades(results: Sequence[ClaimResult]) -> str:
+    """Two lines per row: the verdict, then the values and margin."""
+    lines = []
     for result in results:
         claim = result.claim
         lines.append(f"[{'PASS' if result.passed else 'FAIL'}] "
@@ -261,6 +412,11 @@ def render_scorecard(results: Sequence[ClaimResult]) -> str:
         margin = ("" if result.margin is None
                   else f" (margin {result.margin:+.1%})")
         lines.append(f"       {result.detail}{margin}")
-    passed = sum(1 for result in results if result.passed)
-    lines += ["=" * 60, f"{passed}/{len(results)} headline claims reproduced"]
     return "\n".join(lines)
+
+
+def render_scorecard(results: Sequence[ClaimResult]) -> str:
+    passed = sum(1 for result in results if result.passed)
+    return "\n".join(["Paper reproduction scorecard", "=" * 60,
+                      render_grades(results), "=" * 60,
+                      f"{passed}/{len(results)} headline claims reproduced"])

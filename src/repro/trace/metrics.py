@@ -40,16 +40,13 @@ def bytes_by_client_path(capture: PacketCapture) -> Dict[str, int]:
     return shares
 
 
-def cellular_fraction(capture: PacketCapture,
-                      wifi_paths: tuple = ("wifi", "public-wifi")) -> float:
+def cellular_fraction(capture: PacketCapture) -> float:
     """Fraction of received data bytes that arrived on cellular paths."""
     shares = bytes_by_client_path(capture)
     total = sum(shares.values())
     if total == 0:
         return 0.0
-    cellular = sum(nbytes for path, nbytes in shares.items()
-                   if path not in wifi_paths)
-    return cellular / total
+    return (total - shares.get("wifi", 0)) / total
 
 
 @dataclass

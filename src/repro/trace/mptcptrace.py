@@ -48,16 +48,11 @@ class MptcpTraceAnalysis:
         in_order = sum(1 for delay in self.ofo_delays if delay <= 1e-9)
         return in_order / len(self.ofo_delays)
 
-    def cellular_fraction(self,
-                          wifi_paths: tuple = ("wifi", "public-wifi"),
-                          ) -> float:
+    def cellular_fraction(self) -> float:
         total = sum(self.bytes_by_path.values())
         if total == 0:
             return 0.0
-        cellular = sum(nbytes for path, nbytes
-                       in self.bytes_by_path.items()
-                       if path not in wifi_paths)
-        return cellular / total
+        return (total - self.bytes_by_path.get("wifi", 0)) / total
 
     def goodput_bps(self) -> float:
         if (self.first_data_time is None or self.last_data_time is None

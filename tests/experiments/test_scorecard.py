@@ -2,11 +2,12 @@
 rule and the evaluator."""
 
 import operator
+from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
 from repro.cache import RunCache
-from repro.cli import main
+from repro.cli import _artifacts, _build_campaign, main
 from repro.experiments.config import FlowSpec
 from repro.experiments.runner import RunResult
 from repro.experiments.scorecard import CLAIMS, Claim, ClaimResult, \
@@ -22,8 +23,8 @@ SPECS = (FlowSpec.single_path("wifi"), FlowSpec.single_path("cell"),
 VALUES = st.floats(0, 1e4, allow_subnormal=False)
 
 
-def _run(spec, seed, share, completed=True):
-    return RunResult(spec=spec, size=1024, seed=seed,
+def _run(spec, seed, share, completed=True, size=1024):
+    return RunResult(spec=spec, size=size, seed=seed,
                      period=TimeOfDay.AFTERNOON, completed=completed,
                      download_time=1.0 if completed else None,
                      metrics=ConnectionMetrics(cellular_fraction=share))
@@ -37,10 +38,11 @@ def _synthetic(comparisons):
 
 
 def test_claim_registry_covers_contributions():
-    """13 uniquely named rows (each has its test in
+    """Uniquely named rows, 13 of them seed rows (each has its test in
     ``test_paper_claims.py``); every comparison reads only its own
     row's quantities."""
-    assert len({claim.claim_id for claim in CLAIMS}) == len(CLAIMS) == 13
+    assert len({claim.claim_id for claim in CLAIMS}) == len(CLAIMS)
+    assert sum(1 for claim in CLAIMS if claim.artifact is None) == 13
     for claim in CLAIMS:
         for comparison in parse_comparisons(claim.comparisons):
             assert {comparison.a, comparison.b} - {None} \
@@ -48,6 +50,23 @@ def test_claim_registry_covers_contributions():
     assert parse_comparisons("a <= 1.35 b; a > b + 0.005; a < 0.25") == (
         Comparison("a", "<=", "b", 1.35), Comparison("a", ">", "b", 1, 0.005),
         Comparison("a", "<", c=0.25))
+
+
+def test_artifact_rows_read_their_default_campaign():
+    """Each artifact row names a CLI artifact and reads only cells of
+    that artifact's default campaign; every paper artifact has a row."""
+    artifacts = _artifacts()
+    defaults = SimpleNamespace(reps=2, full=False, seed=2013)
+    rows = [claim for claim in CLAIMS if claim.artifact is not None]
+    for claim in rows:
+        assert claim.artifact in artifacts, claim.claim_id
+        spec = _build_campaign(artifacts[claim.artifact], defaults)
+        cells = {(flow, size) for flow in spec.specs for size in spec.sizes}
+        assert {(flow, size) for _, flow, size in claim.quantities.values()
+                } <= cells, claim.claim_id
+    paper = ({f"fig{n}" for n in range(2, 14)}
+             | {f"tab{n}" for n in range(2, 7)})
+    assert paper <= {claim.artifact for claim in rows}
 
 
 def test_render_scorecard_format():
@@ -90,6 +109,16 @@ def test_cli_scorecard_exits_1_on_incomplete_runs(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "0/13 headline claims reproduced" in out
     assert "runs incomplete" in out
+
+
+def test_cli_artifact_exits_1_on_incomplete_runs(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "repro.experiments.parallel.execute_plan",
+        lambda plan, **execution: [
+            _run(cell.spec, cell.seed, 0.0, False, cell.size)
+            for cell in plan])
+    assert main(["fig8", "--reps", "1", "--no-cache"]) == 1
+    assert "runs incomplete" in capsys.readouterr().out
 
 
 @given(a=st.one_of(st.none(), VALUES), b=VALUES, k=st.floats(0.01, 10),

@@ -1,7 +1,8 @@
 """The paper's headline findings hold in the reproduction: each test
-grades one row of :data:`repro.experiments.scorecard.CLAIMS` (the table
-``repro scorecard`` prints) on the tier-1 seeds, through one shared run
-cache.  These are the guardrails that keep recalibration honest."""
+grades one seed row of :data:`repro.experiments.scorecard.CLAIMS` (the
+table ``repro scorecard`` prints) on the tier-1 seeds, through one
+shared run cache.  These are the guardrails that keep recalibration
+honest."""
 
 import re
 from pathlib import Path
@@ -26,8 +27,11 @@ def grade(tmp_path_factory):
 
 
 def test_every_claim_row_has_one_test():
+    """Every seed row; artifact rows are graded by ``repro <artifact>``
+    on campaigns too slow for tier-1."""
     graded = re.findall(r'grade\("([\w-]+)"\)', Path(__file__).read_text())
-    assert sorted(graded) == sorted(claim.claim_id for claim in CLAIMS)
+    assert sorted(graded) == sorted(claim.claim_id for claim in CLAIMS
+                                    if claim.artifact is None)
 
 
 def test_small_flows_wifi_wins_and_mptcp_tracks_it(grade):

@@ -72,12 +72,15 @@ def test_build_campaign_fig11_full_is_512mb():
 
 
 def test_run_small_artifact_end_to_end(capsys):
-    """fig8 with 1 rep is the cheapest full CLI path (6 downloads)."""
+    """fig8 with 1 rep is the cheapest full CLI path (6 downloads),
+    graded by its claim row (512 KB: 0.371 s simultaneous vs 0.438 s
+    delayed at this seed)."""
     assert main(["fig8", "--reps", "1", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "Figure 8" in out
     assert "simultaneous" in out
     assert "delayed" in out
+    assert "[PASS] fig8: " in out
 
 
 def test_run_campaign_from_file(tmp_path, capsys):
