@@ -41,16 +41,22 @@ _UNIT = {"b": 1, "kb": 1024, "mb": 1024 ** 2, "gb": 1024 ** 3}
 
 
 def parse_size(value: Union[int, str]) -> int:
-    """'512 KB' / '4 MB' / 8192 -> bytes."""
-    if isinstance(value, int):
-        if value <= 0:
-            raise ValueError(f"size must be positive, got {value}")
-        return value
-    match = _SIZE_PATTERN.match(value)
-    if not match:
-        raise ValueError(f"unparseable size {value!r}")
-    number, unit = match.groups()
-    return int(float(number) * _UNIT[(unit or "B").lower()])
+    """'512 KB' / '4 MB' / 8192 -> a positive number of bytes."""
+    if isinstance(value, str):
+        match = _SIZE_PATTERN.match(value)
+        if not match:
+            raise ValueError(f"unparseable size {value!r}")
+        number, unit = match.groups()
+        size = int(float(number) * _UNIT[(unit or "B").lower()])
+    elif isinstance(value, int) and not isinstance(value, bool):
+        size = value
+    else:
+        raise ValueError(
+            f"a size is a whole byte count or a label like '4 MB', "
+            f"got {value!r}")
+    if size <= 0:
+        raise ValueError(f"size must be at least one byte, got {value!r}")
+    return size
 
 
 def format_size(size: int) -> Union[int, str]:
@@ -74,6 +80,9 @@ def campaign_from_dict(data: dict) -> CampaignSpec:
     kwargs = {}
     if "repetitions" in data:
         kwargs["repetitions"] = int(data["repetitions"])
+        if kwargs["repetitions"] < 1:
+            raise ValueError(f"repetitions must be at least 1, "
+                             f"got {data['repetitions']!r}")
     if "periods" in data:
         kwargs["periods"] = tuple(TimeOfDay(period)
                                   for period in data["periods"])

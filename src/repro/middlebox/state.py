@@ -1,11 +1,13 @@
-"""Shared per-flow state for stateful boxes (and the client NAT).
+"""Shared per-flow state for stateful boxes.
 
 Real NATs, firewalls and CGNs keep one entry per flow, refresh it on
 traffic, expire it after an idle period, and -- for carrier-grade
 deployments -- evict the least-recently-used entry when the binding
 table fills.  :class:`FlowTable` implements exactly that lifecycle;
-:class:`repro.netsim.nat.Nat` and the middlebox firewalls are thin
-policies on top of it.
+the middlebox firewall and CGN (:mod:`repro.middlebox.firewall`) are
+thin policies on top of it.  (The testbed's client NAT,
+:class:`repro.netsim.nat.Nat`, never ages a binding and is a plain
+set.)
 
 Expiry is *lazy*: entries are judged against ``now`` when touched or
 queried, never by scheduled timer events, so attaching a table to a
@@ -30,10 +32,6 @@ class FlowTable:
             raise ValueError("max_entries must be positive (or None)")
         self.idle_timeout = idle_timeout
         self.max_entries = max_entries
-        #: With neither a timeout nor a capacity nothing ever reads a
-        #: refresh time or the LRU order: the table is a membership
-        #: set, and per-packet refreshes have nothing to maintain.
-        self._ageless = idle_timeout is None and max_entries is None
         #: key -> time of last refresh, in LRU order (oldest first).
         self._entries: "collections.OrderedDict[Hashable, float]" = \
             collections.OrderedDict()
@@ -47,8 +45,6 @@ class FlowTable:
         entry (CGN port exhaustion: someone else's flow dies).
         """
         created = key not in self._entries
-        if self._ageless and not created:
-            return False
         self._entries[key] = now
         self._entries.move_to_end(key)
         if created and self.max_entries is not None:
@@ -65,8 +61,6 @@ class FlowTable:
         last = self._entries.get(key)
         if last is None:
             return False
-        if self._ageless:
-            return True
         if self.idle_timeout is not None and now - last > self.idle_timeout:
             del self._entries[key]
             self.expired += 1

@@ -105,9 +105,6 @@ class Host:
         self.interfaces[interface.address] = interface
         return interface
 
-    def interface_for(self, address: str) -> Interface:
-        return self.interfaces[address]
-
     # ------------------------------------------------------------------
     # Endpoint binding
     # ------------------------------------------------------------------
@@ -117,9 +114,6 @@ class Host:
         if port in self._listeners:
             raise ValueError(f"port {port} already has a listener")
         self._listeners[port] = listener
-
-    def unbind_listener(self, port: int) -> None:
-        self._listeners.pop(port, None)
 
     def register_endpoint(self, four_tuple: FourTuple,
                           endpoint: PacketSink) -> None:

@@ -118,7 +118,8 @@ class Link:
         self.deliver: Callable[[Packet], None] = lambda packet: None
         #: Optional on-path middlebox hook: called as ``(packet, now)``
         #: for every offered packet, returning the packets to forward
-        #: (none = dropped by the box).  See :mod:`repro.middlebox`.
+        #: (none = dropped by the box); the middlebox package's
+        #: ``install_chain`` sets it.
         self.middlebox: Optional[
             Callable[[Packet, float], "list[Packet]"]] = None
         self.stats = LinkStats()

@@ -1,21 +1,24 @@
-"""repro.obs -- observability: event tracing, pcap export, telemetry.
+"""repro.obs -- observability: event tracing, metrics, telemetry.
 
-Three layers (see docs/observability.md):
+The layers (see docs/observability.md):
 
 * :mod:`repro.obs.bus` -- the :class:`TraceBus` protocol-event bus and
   its sinks (flight-recorder ring, JSONL stream, in-memory), plus the
   slotted no-op :data:`NULL_TRACE_BUS` installed on every simulator by
   default.
-* :mod:`repro.obs.pcap` -- serialize a captured run to a valid
-  little-endian pcap with synthesized Ethernet/IPv4/TCP headers and
-  RFC 6824 MPTCP option wire encoding, openable in Wireshark/tcptrace.
+* :mod:`repro.obs.metrics` -- the counters / gauges / histograms
+  registry, with the same null-object discipline as the bus.
+* :mod:`repro.obs.pathmetrics` -- per-path health EWMAs, a passive
+  sink on the trace bus.
 * :mod:`repro.obs.telemetry` -- live campaign telemetry: per-worker
   heartbeats, the per-campaign ``run_log.jsonl``, and the parent-side
   progress renderer.
+* :mod:`repro.obs.analytics` -- the SQLite store behind
+  ``repro report``.
 
-``pcap`` and ``telemetry`` are imported lazily so that the simulation
-engine (which imports this package for the null bus) never pulls the
-protocol stack back in.
+``pathmetrics`` and ``telemetry`` are imported lazily so that the
+simulation engine (which imports this package for the null bus) never
+pulls the protocol stack back in.
 """
 
 from repro.obs.metrics import (
@@ -62,9 +65,6 @@ __all__ = [
     "PathMetricsTap",
     "ensure_path_metrics",
     "metrics_tap",
-    "WireTap",
-    "write_pcap",
-    "read_pcap",
     "RunLog",
     "Heartbeat",
     "ProgressRenderer",
@@ -75,9 +75,6 @@ _LAZY = {
     "PathMetricsTap": "repro.obs.pathmetrics",
     "ensure_path_metrics": "repro.obs.pathmetrics",
     "metrics_tap": "repro.obs.pathmetrics",
-    "WireTap": "repro.obs.pcap",
-    "write_pcap": "repro.obs.pcap",
-    "read_pcap": "repro.obs.pcap",
     "RunLog": "repro.obs.telemetry",
     "Heartbeat": "repro.obs.telemetry",
     "ProgressRenderer": "repro.obs.telemetry",

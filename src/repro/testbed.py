@@ -51,10 +51,6 @@ class TestbedConfig:
     environment_jitter: bool = True   # per-run rate/loss lottery
     warm_radio: bool = True           # the paper's pre-measurement pings
     nat: bool = True
-    #: Seconds of silence after which a NAT binding expires (real NATs
-    #: time quiet flows out; ``None`` keeps the original keep-forever
-    #: behaviour the paper's short transfers never distinguish).
-    nat_idle_timeout: Optional[float] = None
     #: Direct profile overrides (sensitivity sweeps); when set they
     #: replace the named catalog entries for this testbed.
     wifi_profile: Optional[PathProfile] = None
@@ -138,11 +134,8 @@ class Testbed:
         self.applied_profiles[self.cellular_addr] = cell_profile
 
         if config.nat:
-            clock = lambda: self.sim.now  # noqa: E731 - tiny closure
-            wifi.nat = Nat(idle_timeout=config.nat_idle_timeout,
-                           clock=clock)
-            cell.nat = Nat(idle_timeout=config.nat_idle_timeout,
-                           clock=clock)
+            wifi.nat = Nat()
+            cell.nat = Nat()
 
         cell.radio = RadioStateMachine(
             self.sim, promotion_delay=cell_profile.promotion_delay)

@@ -31,7 +31,6 @@ from repro.trace.metrics import (
     connection_metrics,
     download_time_from_capture,
 )
-from repro.trace.mptcptrace import MptcpTraceAnalysis, analyze_mptcp
 from repro.trace.timeseries import Series, TimeSeriesProbe
 
 __all__ = [
@@ -50,6 +49,4 @@ __all__ = [
     "format_record",
     "Series",
     "TimeSeriesProbe",
-    "MptcpTraceAnalysis",
-    "analyze_mptcp",
 ]

@@ -10,7 +10,8 @@ a time.  A campaign run therefore materializes zero per-packet objects.
 ``keep_records=True`` adds a sink on top: one flat
 :class:`PacketRecord` per packet, including the MPTCP DSS numbers,
 for the tools that need the packets themselves
-(:mod:`repro.trace.mptcptrace`, :mod:`repro.trace.dump`).  Records are
+(:mod:`repro.trace.dump`, :mod:`repro.trace.analyzer`'s batch replay,
+the test suite's DSN-level reference analyzer).  Records are
 plain slotted objects -- a capture of a 32 MB transfer holds tens of
 thousands.
 """

@@ -37,6 +37,34 @@ def test_parse_size_rejects_garbage():
         parse_size(0)
 
 
+@pytest.mark.parametrize("size", ["0 KB", "0.0001 KB", "0"])
+def test_parse_size_rejects_labels_under_one_byte(size):
+    """A 0-byte cell can never complete, so its label is refused."""
+    with pytest.raises(ValueError, match=f"'{size}'"):
+        parse_size(size)
+
+
+@pytest.mark.parametrize("size", [4.5, 4096.0, True, None])
+def test_parse_size_rejects_non_integer_values(size):
+    with pytest.raises(ValueError, match=repr(size)):
+        parse_size(size)
+
+
+def test_campaign_file_rejects_a_float_size():
+    with pytest.raises(ValueError, match="4.5"):
+        campaign_from_dict({"name": "x", "sizes": [4.5],
+                            "flows": [{"mode": "sp"}]})
+
+
+@pytest.mark.parametrize("repetitions", [0, -2])
+def test_campaign_file_rejects_empty_repetitions(repetitions):
+    """Zero or negative repetitions would build a campaign of no cells."""
+    with pytest.raises(ValueError, match=str(repetitions)):
+        campaign_from_dict({"name": "x", "sizes": ["8 KB"],
+                            "repetitions": repetitions,
+                            "flows": [{"mode": "sp"}]})
+
+
 def test_format_size_round_trips():
     for size in (8 * KB, 512 * KB, 4 * MB, 100, 3 * KB):
         assert parse_size(format_size(size)) == size

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.models import (
+from .tcp_model import (
     mptcp_aggregate_bound,
     pftk_throughput,
     slow_start_latency,

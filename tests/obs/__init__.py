@@ -1,1 +1,1 @@
-"""Tests for repro.obs: tracing, pcap export, telemetry."""
+"""Tests for repro.obs: tracing, metrics, telemetry, analytics."""

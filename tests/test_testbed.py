@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.netsim.packet import Packet
+from repro.tcp.segment import Segment
 from repro.testbed import (
     CLIENT_WIFI,
     SERVER_PRIMARY,
@@ -103,15 +105,15 @@ def test_run_passthrough_advances_clock():
     assert testbed.run(until=2.0) == 2.0
 
 
-def test_nat_idle_timeout_wired_to_sim_clock():
-    testbed = Testbed(TestbedConfig(seed=1, nat_idle_timeout=30.0))
-    nat = testbed.client.interfaces[CLIENT_WIFI].nat
-    assert nat.table.idle_timeout == 30.0
-    # The NAT ages bindings against the simulation clock.
-    assert nat.clock() == testbed.sim.now
-
-
 def test_nat_default_has_no_idle_timeout():
+    """A testbed NAT binding outlives any simulated silence, and no
+    config field can give it a timeout."""
+    with pytest.raises(TypeError):
+        TestbedConfig(seed=1, nat_idle_timeout=30.0)
     testbed = Testbed(TestbedConfig(seed=1))
-    assert testbed.client.interfaces[CLIENT_WIFI].nat.table.idle_timeout \
-        is None
+    nat = testbed.client.interfaces[CLIENT_WIFI].nat
+    segment = Segment(src_port=40000, dst_port=80)
+    nat.note_outbound(Packet(CLIENT_WIFI, SERVER_PRIMARY, segment))
+    assert testbed.run(until=1e6) == 1e6
+    reply = Segment(src_port=80, dst_port=40000)
+    assert nat.allows(Packet(SERVER_PRIMARY, CLIENT_WIFI, reply))

@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.app.http import HTTP_PORT, HttpClient, HttpServerSession
+from repro.core.connection import MptcpConfig, MptcpConnection, \
+    MptcpListener
 from repro.core.options import DssMapping, MptcpOptions
 from repro.netsim.packet import Packet
+from repro.testbed import Testbed, TestbedConfig
 from repro.trace.analyzer import analyze_sender
 from repro.trace.capture import PacketCapture
 from repro.tcp.segment import Flags, Segment
 
 from tests.conftest import build_mininet
+
+KB = 1024
 
 
 class Sink:
@@ -132,3 +138,33 @@ def test_record_keeping_capture_still_streams():
     assert capture.flow_analyses() == analyze_sender(capture)
     (analysis,) = capture.flow_analyses().values()
     assert analysis.data_packets_sent == 1
+
+
+def test_two_subflow_download_records_mptcp_signalling():
+    """A real two-subflow download carries the Section 2.2.1 signalling
+    in the client's records: MP_CAPABLE, MP_JOIN and DSS all appear,
+    data arrives on both client paths, and every stream byte rides
+    under at least one DSS mapping."""
+    size = 256 * KB
+    testbed = Testbed(TestbedConfig(carrier="att", seed=17))
+    capture = PacketCapture(testbed.client, keep_records=True)
+    config = MptcpConfig()
+    MptcpListener(testbed.sim, testbed.server, HTTP_PORT, config,
+                  server_addrs=testbed.server_addrs,
+                  on_connection=lambda c: HttpServerSession.fixed(c, size))
+    connection = MptcpConnection.client(
+        testbed.sim, testbed.client, testbed.client_addrs,
+        testbed.server_addrs[0], HTTP_PORT, config)
+    client = HttpClient(testbed.sim, connection, size)
+    client.start()
+    connection.connect()
+    testbed.run(until=300.0)
+    assert client.record.complete
+
+    records = capture.records
+    assert any(record.mp_capable for record in records)
+    assert any(record.mp_join for record in records)
+    mapped = [record for record in records if record.dsn is not None]
+    assert {record.dst for record in mapped
+            if record.direction == "recv"} == set(testbed.client_addrs)
+    assert sum(record.dss_len for record in mapped) >= size

@@ -13,7 +13,8 @@ from repro.netsim.packet import Packet
 from repro.tcp.segment import Flags, Segment
 from repro.testbed import Testbed, TestbedConfig
 from repro.trace.capture import PacketCapture, PacketRecord
-from repro.trace.mptcptrace import analyze_mptcp
+
+from .mptcptrace import analyze_mptcp
 
 MB = 1024 * 1024
 
