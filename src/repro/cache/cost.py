@@ -78,11 +78,6 @@ class CostModel:
         total, count = self._observed.get(key, (0.0, 0))
         self._observed[key] = (total + wall_s, count + 1)
 
-    @property
-    def calibrated(self) -> int:
-        """How many distinct ``(identity, size)`` cells have samples."""
-        return len(self._observed)
-
     # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------

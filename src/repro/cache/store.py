@@ -221,12 +221,6 @@ class RunCache:
         return descriptor_key(result.spec, result.size,
                               result.seed, result.period)
 
-    def __contains__(self, key: str) -> bool:
-        return cache_digest(key, self.format_version) in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
     def get(self, key: str) -> Optional[RunResult]:
         """The stored result for one descriptor key, or ``None``.
 

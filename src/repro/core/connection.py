@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.coupling import make_controller
 from repro.core.options import DssMapping, MptcpOptions
+from repro.core.path_manager import PathManager
 from repro.core.receive_buffer import ConnectionReceiveBuffer
 from repro.core.scheduler import make_scheduler
 from repro.core.subflow import Subflow
@@ -56,10 +57,6 @@ class MptcpConfig:
 
     controller: str = "coupled"
     scheduler: str = "minrtt"
-    #: Path-manager strategy spec (see
-    #: :func:`repro.core.path_manager.make_path_manager`): ``fullmesh``
-    #: (the Linux default), ``primary-backup``, or ``ndiffports[:ports=N]``.
-    path_manager: str = "fullmesh"
     rcv_buffer: int = 8 * 1024 * 1024
     penalization: bool = False
     simultaneous_syn: bool = False
@@ -176,11 +173,10 @@ class MptcpConnection:
         testbed); the remaining addresses join once permitted by the
         subflow-establishment policy.
         """
-        from repro.core.path_manager import make_path_manager  # cycle guard
         connection = cls(sim, host, "client", remote_port, config,
                          token=next(_tokens), name=name)
-        connection.path_manager = make_path_manager(
-            config.path_manager, connection, local_addrs, remote_addr,
+        connection.path_manager = PathManager(
+            connection, local_addrs, remote_addr,
             simultaneous_syn=config.simultaneous_syn,
             max_subflows=config.max_subflows)
         return connection
@@ -192,8 +188,7 @@ class MptcpConnection:
         assert self.path_manager is not None
         self.path_manager.start()
 
-    def open_subflow(self, local_addr: str, remote_addr: str,
-                     backup: Optional[bool] = None) -> Subflow:
+    def open_subflow(self, local_addr: str, remote_addr: str) -> Subflow:
         """Create and actively open one subflow (client side).
 
         A subflow carries MP_CAPABLE (initial) rather than MP_JOIN as
@@ -204,10 +199,8 @@ class MptcpConnection:
         outage during the handshake), a join would sit in the server's
         pending queue forever and the connection would never establish.
 
-        ``backup`` overrides the config's ``backup_paths`` rule (used
-        by the primary-backup path manager, which opens *every* join in
-        backup mode regardless of path name); ``None`` keeps the
-        default behaviour.  The initial subflow is never backup.
+        A join over a path named in the config's ``backup_paths`` opens
+        in backup mode; the initial subflow never does.
         """
         live_initial = any(
             subflow.is_initial and subflow.endpoint is not None
@@ -215,10 +208,9 @@ class MptcpConnection:
             for subflow in self.subflows)
         is_initial = self.established_at is None and not live_initial
         path_name = path_name_of(local_addr)
-        if backup is None:
-            backup = path_name in self.config.backup_paths
         subflow = Subflow(self, path_name, is_initial,
-                          backup=(not is_initial and backup))
+                          backup=(not is_initial
+                                  and path_name in self.config.backup_paths))
         endpoint = TcpEndpoint(
             self.sim, self.host, local_addr, self.host.ephemeral_port(),
             remote_addr, self.remote_port, self.config.tcp,
@@ -278,10 +270,6 @@ class MptcpConnection:
         self._close_requested = True
         self.push()
         self._check_send_complete()
-
-    @property
-    def established(self) -> bool:
-        return any(subflow.established for subflow in self.subflows)
 
     def established_subflows(self) -> List[Subflow]:
         return [subflow for subflow in self.subflows if subflow.established]

@@ -13,46 +13,23 @@ client, knowing a priori that the server is MPTCP-capable and holding
 a pre-authorized key, fires the JOIN SYNs at connect time instead of
 waiting one default-path RTT.  ``simultaneous_syn=True`` enables it.
 
-Like the scheduler, the establishment policy is a pluggable strategy
-(:func:`make_path_manager`), mirroring the path managers Linux MPTCP
-ships:
-
-=================  ===================================================
-``fullmesh``       The default above: every local x remote pair.
-``primary-backup`` Same pair coverage, but every join is opened in
-                   backup mode -- the extra paths are established and
-                   kept warm yet only carry data once the primary
-                   fails (Paasch et al.'s handover configuration,
-                   without having to enumerate path names in
-                   ``backup_paths``).
-``ndiffports``     N parallel subflows over the *single* default
-                   address pair, distinguished only by source port
-                   (``ndiffports:ports=2``) -- the ECMP-exploiting
-                   manager from the datacenter MPTCP work; ADD_ADDR
-                   advertisements are ignored.
-=================  ===================================================
+The full mesh above is Linux MPTCP's default path manager, the one the
+paper measures; backup-mode joins (Paasch et al.'s handover
+configuration) come from
+:attr:`~repro.core.connection.MptcpConfig.backup_paths`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Type, TYPE_CHECKING
-
-from repro.core.scheduler import parse_strategy
+from typing import List, Optional, Set, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.connection import MptcpConnection
 
 
 class PathManager:
-    """Decides which (local, remote) address pairs become subflows.
-
-    This base class *is* the full-mesh strategy; subclasses adjust
-    which pairs open (:meth:`start` / :meth:`on_add_addr` /
-    :meth:`on_initial_established`) or how
-    (:meth:`_open_subflow`).
-    """
-
-    name = "fullmesh"
+    """Decides which (local, remote) address pairs become subflows:
+    every local address toward every known server address."""
 
     def __init__(self, connection: "MptcpConnection",
                  local_addrs: List[str], remote_addr: str,
@@ -66,9 +43,7 @@ class PathManager:
         self.simultaneous_syn = simultaneous_syn
         self.max_subflows = max_subflows
         self._known_remotes: List[str] = [remote_addr]
-        #: Keys of the open attempts made so far.  A key is normally
-        #: the (local, remote) pair; ndiffports appends a port ordinal
-        #: so several subflows may share one address pair.
+        #: The (local, remote) pairs opened so far.
         self._pairs_opened: Set[tuple] = set()
         self._subflow_by_pair: dict = {}
         #: Local addresses the OS currently reports as down; advertised
@@ -95,24 +70,18 @@ class PathManager:
             for local in self.local_addrs:
                 self._open(local, remote)
 
-    def _open_subflow(self, local: str, remote: str):
-        """Actually open one subflow; strategies override the *how*."""
-        return self.connection.open_subflow(local, remote)
-
-    def _open(self, local: str, remote: str,
-              key: Optional[tuple] = None) -> None:
+    def _open(self, local: str, remote: str) -> None:
         if getattr(self.connection, "is_fallback", False):
             return  # no new subflows after fallback (RFC 6824 S3.6)
-        if key is None:
-            key = (local, remote)
-        if key in self._pairs_opened:
+        pair = (local, remote)
+        if pair in self._pairs_opened:
             return
         if (self.max_subflows is not None
                 and len(self._pairs_opened) >= self.max_subflows):
             return
-        self._pairs_opened.add(key)
-        subflow = self._open_subflow(local, remote)
-        self._subflow_by_pair[key] = subflow
+        self._pairs_opened.add(pair)
+        subflow = self.connection.open_subflow(local, remote)
+        self._subflow_by_pair[pair] = subflow
         sim = getattr(self.connection, "sim", None)  # None in test fakes
         if sim is not None and sim.trace.enabled:
             sim.trace.emit(sim.now, "path.open",
@@ -145,19 +114,19 @@ class PathManager:
                 self.connection.kill_subflow(subflow)
         self.connection.push()  # surviving subflows carry the signal
 
-    def _reclaim_if_dead(self, key: tuple) -> None:
-        """Forget a key whose subflow died (failed outright, or gave up
+    def _reclaim_if_dead(self, pair: tuple) -> None:
+        """Forget a pair whose subflow died (failed outright, or gave up
         mid-handshake: SYN retries exhausted leave the endpoint
         "closed" without ever having established) so it can reopen."""
-        existing = self._subflow_by_pair.get(key)
+        existing = self._subflow_by_pair.get(pair)
         if existing is not None and existing.endpoint is not None:
             endpoint = existing.endpoint
             dead = (endpoint.state == "failed"
                     or (endpoint.state == "closed"
                         and endpoint.stats.established_at is None))
             if dead:
-                self._pairs_opened.discard(key)
-                del self._subflow_by_pair[key]
+                self._pairs_opened.discard(pair)
+                del self._subflow_by_pair[pair]
 
     def on_interface_up(self, local: str) -> None:
         """An interface recovered (e.g. WiFi re-associated): reopen its
@@ -180,110 +149,3 @@ class PathManager:
         return (f"<{type(self).__name__} {len(self._pairs_opened)} pairs, "
                 f"simultaneous={self.simultaneous_syn}>")
 
-
-class PrimaryBackupPathManager(PathManager):
-    """Full-mesh pair coverage with every join in backup mode.
-
-    The joins complete their handshakes (so failover needs no new
-    three-way handshake) but advertise the B-bit, and the connection's
-    allocator keeps them idle while any regular subflow is
-    operational.
-    """
-
-    name = "primary-backup"
-
-    def _open_subflow(self, local: str, remote: str):
-        return self.connection.open_subflow(local, remote, backup=True)
-
-
-class NDiffPortsPathManager(PathManager):
-    """N subflows over the default address pair, split by source port.
-
-    Exploits ECMP-style load balancing rather than genuine multi-homing
-    (the datacenter path manager); extra local interfaces and ADD_ADDR
-    advertisements are deliberately ignored.  Each open draws a fresh
-    ephemeral source port, which is what distinguishes the subflows.
-    """
-
-    name = "ndiffports"
-
-    def __init__(self, connection: "MptcpConnection",
-                 local_addrs: List[str], remote_addr: str,
-                 simultaneous_syn: bool = False,
-                 max_subflows: Optional[int] = None,
-                 ports: int = 2) -> None:
-        super().__init__(connection, local_addrs, remote_addr,
-                         simultaneous_syn=simultaneous_syn,
-                         max_subflows=max_subflows)
-        if ports < 1:
-            raise ValueError("ndiffports needs at least one port")
-        self.ports = int(ports)
-
-    def _key(self, ordinal: int) -> tuple:
-        return (self.local_addrs[0], self.primary_remote, ordinal)
-
-    def start(self) -> None:
-        self._open(self.local_addrs[0], self.primary_remote,
-                   key=self._key(0))
-        if self.simultaneous_syn:
-            self._open_extra_ports()
-
-    def on_initial_established(self) -> None:
-        self._open_extra_ports()
-
-    def _open_extra_ports(self) -> None:
-        for ordinal in range(1, self.ports):
-            self._open(self.local_addrs[0], self.primary_remote,
-                       key=self._key(ordinal))
-
-    def on_add_addr(self, addrs: tuple) -> None:
-        """Single address pair by design: advertisements are ignored."""
-
-    def on_interface_up(self, local: str) -> None:
-        self.down_locals.discard(local)
-        sim = getattr(self.connection, "sim", None)  # None in test fakes
-        if sim is not None and sim.trace.enabled:
-            sim.trace.emit(sim.now, "path.up", local=local)
-        if local != self.local_addrs[0]:
-            return
-        for ordinal in range(self.ports):
-            self._reclaim_if_dead(self._key(ordinal))
-            self._open(local, self.primary_remote, key=self._key(ordinal))
-
-
-_PATH_MANAGERS: Dict[str, Type[PathManager]] = {
-    cls.name: cls for cls in (PathManager, PrimaryBackupPathManager,
-                              NDiffPortsPathManager)}
-
-
-def path_manager_names() -> List[str]:
-    """The registered path-manager strategy names, sorted."""
-    return sorted(_PATH_MANAGERS)
-
-
-def make_path_manager(spec: str, connection: "MptcpConnection",
-                      local_addrs: List[str], remote_addr: str,
-                      simultaneous_syn: bool = False,
-                      max_subflows: Optional[int] = None) -> PathManager:
-    """Build a path manager from a strategy spec.
-
-    Specs use the scheduler syntax: ``fullmesh`` (the default),
-    ``primary-backup``, or ``ndiffports:ports=3``.
-    """
-    name, params = parse_strategy(spec)
-    cls = _PATH_MANAGERS.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown path manager {name!r}; expected one of "
-            f"{path_manager_names()}")
-    kwargs = {}
-    if cls is NDiffPortsPathManager:
-        if "ports" in params:
-            kwargs["ports"] = int(params.pop("ports"))
-    if params:
-        raise ValueError(
-            f"bad path-manager spec {spec!r}: unknown parameters "
-            f"{sorted(params)}")
-    return cls(connection, local_addrs, remote_addr,
-               simultaneous_syn=simultaneous_syn,
-               max_subflows=max_subflows, **kwargs)

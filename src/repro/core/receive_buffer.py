@@ -97,11 +97,6 @@ class ConnectionReceiveBuffer:
         """The connection-level cumulative point (the DATA_ACK value)."""
         return self._queue.rcv_nxt
 
-    @property
-    def buffered_bytes(self) -> int:
-        """Out-of-order bytes currently parked in the buffer."""
-        return self._queue.buffered_bytes
-
     def free_space(self) -> int:
         """Bytes of capacity left (drives the advertised window)."""
         free = self.capacity - self._queue.buffered_bytes
@@ -149,4 +144,4 @@ class ConnectionReceiveBuffer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ConnectionReceiveBuffer rcv_nxt={self.rcv_nxt} "
-                f"ooo={self.buffered_bytes}B/{self.capacity}B>")
+                f"ooo={self._queue.buffered_bytes}B/{self.capacity}B>")

@@ -596,10 +596,3 @@ def make_scheduler(spec: str) -> Scheduler:
     except (TypeError, ValueError) as error:
         raise ValueError(
             f"bad scheduler spec {spec!r}: {error}") from None
-
-
-def scheduler_needs_path_metrics(spec: str) -> bool:
-    """Does this spec's scheduler consume the path-metrics tap?"""
-    name, _ = parse_strategy(spec)
-    cls = _SCHEDULERS.get(name)
-    return bool(cls is not None and cls.needs_path_metrics)

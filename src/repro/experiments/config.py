@@ -71,8 +71,9 @@ class FlowSpec:
     #: such as ``minrtt`` / ``roundrobin`` / ``redundant`` / ``blest``
     #: / ``qoe``, optionally parameterized (``weighted:wifi=2,att=1``).
     scheduler: str = "minrtt"
-    #: Path-manager strategy spec (mp only): ``fullmesh`` (default),
-    #: ``primary-backup``, or ``ndiffports[:ports=N]``.
+    #: Path manager (mp only): always ``fullmesh``, the Linux default
+    #: the paper measures.  The field stays because its ``asdict`` key
+    #: is part of every stored result.
     path_manager: str = "fullmesh"
     penalization: bool = False
     ssthresh: int = 64 * 1024
@@ -126,15 +127,13 @@ class FlowSpec:
             raise ValueError(
                 "non-bulk workloads are multipath measurements; "
                 "use mode='mp'")
-        from repro.core.path_manager import path_manager_names
         from repro.core.scheduler import parse_strategy, scheduler_names
         if parse_strategy(self.scheduler)[0] not in scheduler_names():
             raise ValueError(f"unknown scheduler {self.scheduler!r}; "
                              f"known: {', '.join(scheduler_names())}")
-        if parse_strategy(self.path_manager)[0] not in path_manager_names():
-            raise ValueError(
-                f"unknown path manager {self.path_manager!r}; "
-                f"known: {', '.join(path_manager_names())}")
+        if self.path_manager != "fullmesh":
+            raise ValueError(f"unknown path manager {self.path_manager!r}; "
+                             f"known: fullmesh")
         if self.path_pair != "default":
             from repro.wireless.profiles import PATH_PAIRS
             if self.path_pair not in PATH_PAIRS:
@@ -269,15 +268,11 @@ class FlowSpec:
         return MptcpConfig(
             controller=self.controller,
             scheduler=self.scheduler,
-            path_manager=self.path_manager,
             rcv_buffer=self.rcv_buffer,
             penalization=self.penalization,
             simultaneous_syn=self.simultaneous_syn,
             tcp=self.tcp_config(),
         )
-
-    def __str__(self) -> str:
-        return self.label
 
 
 #: Identity-gated fields: ``field -> (gate field, default)``.  A field

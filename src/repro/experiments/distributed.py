@@ -57,9 +57,12 @@ Determinism
 -----------
 
 The oracle is the determinism guard: whichever process runs whichever
-cell, results travel as the cache's full-fidelity object format
-(:func:`repro.experiments.protocol.result_wrapper`), are reassembled
-by plan position, and must be byte-identical to serial execution.
+cell, results travel at full fidelity
+(:func:`repro.experiments.protocol.result_wrapper`: the cache's
+``{key, format_version, result}`` envelope, but with sample lists as
+plain JSON floats where a cache object packs them as base64 doubles),
+are reassembled by plan position once their ``key`` matches that
+position's cell, and must be byte-identical to serial execution.
 Nothing in this module can reorder, rescale or re-thin a row.
 """
 
@@ -365,9 +368,26 @@ class Coordinator:
                             events_per_sec=message.get("events_per_sec"),
                             current=current)
 
+    def _position(self, value) -> int:
+        """A plan position off the wire, or :class:`ProtocolError`."""
+        if type(value) is not int or not 0 <= value < len(self._plan):
+            raise ProtocolError(f"no plan position {value!r}")
+        return value
+
+    def _decode_row(self, row: dict):
+        """One published row's result, checked against the plan: a row
+        whose key is not its position's cell (a worker with another
+        identity formula, a swapped row) is refused."""
+        key = self._plan[self._position(row["position"])].key
+        wrapper = row.pop("object")
+        if row["key"] != key or wrapper["key"] != key:
+            raise ProtocolError(f"row for position {row['position']} "
+                                f"does not carry its cell {key!r}")
+        return result_from_wrapper(wrapper)
+
     def _deliver_row(self, worker: str, row: dict, result) -> None:
         """One published cell, on the thread that called :meth:`wait`."""
-        position = int(row["position"])
+        position = row["position"]
         if self._is_filled(position):
             return  # duplicate delivery after reassignment
         self._deliver(position, result, row.get("report"),
@@ -446,17 +466,25 @@ class Coordinator:
                           leases_dropped=len(dropped))
 
     def _handle(self, worker: str, message: dict) -> dict:
+        """Answer one message.  A malformed one (missing field, wrong
+        type, a result ``result_from_dict`` rejects) is a
+        :class:`ProtocolError`: :meth:`_serve` logs it, drops the
+        worker and refronts its leases."""
         kind = message.get("type")
-        if kind == "lease":
-            return self._handle_lease(worker, message)
-        if kind == "renew":
-            return self._handle_renew(worker, message)
-        if kind == "offer":
-            return self._handle_offer(worker, message)
-        if kind == "publish":
-            return self._handle_publish(worker, message)
-        if kind == "failed":
-            return self._handle_failed(worker, message)
+        try:
+            if kind == "lease":
+                return self._handle_lease(worker, message)
+            if kind == "renew":
+                return self._handle_renew(worker, message)
+            if kind == "offer":
+                return self._handle_offer(worker, message)
+            if kind == "publish":
+                return self._handle_publish(worker, message)
+            if kind == "failed":
+                return self._handle_failed(worker, message)
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise ProtocolError(
+                f"malformed {kind!r} message: {error!r}") from error
         if kind == "bye":
             return {"type": "drained"}
         raise ProtocolError(f"unknown message type {kind!r}")
@@ -511,16 +539,18 @@ class Coordinator:
                               time.monotonic())
         return {"type": "want",
                 "digests": [row["digest"] for row in message.get("rows", ())
-                            if not self._is_filled(int(row["position"]))]}
+                            if not self._is_filled(
+                                self._position(row["position"]))]}
 
     def _handle_publish(self, worker: str, message: dict) -> dict:
-        """Decode and enqueue; :meth:`wait` delivers.  The lease is
-        done as soon as its results are in the inbox."""
-        decoded = [(worker, row, result_from_wrapper(row.pop("object")))
+        """Check, decode and enqueue; :meth:`wait` delivers.  The lease
+        is done as soon as its results are in the inbox."""
+        lease = int(message.get("lease", -1))
+        decoded = [(worker, row, self._decode_row(row))
                    for row in message.get("rows", ())]
         with self._cond:
             self._inbox.extend(decoded)
-            self._queue.release(int(message.get("lease", -1)))
+            self._queue.release(lease)
             self._cond.notify_all()
         self._beat(worker, message, None)
         return {"type": "ok"}
@@ -529,7 +559,7 @@ class Coordinator:
         error = message.get("error", "unknown worker failure")
         what = "a cell"
         if message.get("position") is not None:
-            descriptor = self._plan[int(message["position"])]
+            descriptor = self._plan[self._position(message["position"])]
             # The key is identity|size|seed|period: it names all three.
             what = f"cell {descriptor.key}"
             if self._run_log is not None:

@@ -12,11 +12,13 @@ Two codecs live here next to the framing:
   :class:`~repro.experiments.runner.RunDescriptor` as JSON; every
   field of a descriptor is plain data.
 * :func:`result_wrapper` / :func:`result_from_wrapper` — a completed
-  :class:`~repro.experiments.runner.RunResult` as the *same*
-  content-addressed object the run cache stores on disk
-  (``{key, format_version, result}`` at full fidelity), so publishing
-  a result over the wire and importing a cache object are one code
-  path and one byte format.
+  :class:`~repro.experiments.runner.RunResult` as
+  ``{key, format_version, result}``, the same envelope the run cache
+  stores, with ``result`` the full-fidelity
+  :func:`~repro.experiments.storage.result_to_dict`.  The two byte
+  formats differ in the sample lists: the wire carries them as plain
+  JSON floats, while a cache object packs them as base64 doubles
+  (:mod:`repro.cache.store`).  Both round-trip every float exactly.
 
 The handshake pins both :data:`PROTOCOL_VERSION` (message shapes) and
 the storage ``FORMAT_VERSION`` (result/cache semantics): a worker and
@@ -103,10 +105,11 @@ def recv_message(sock) -> Optional[dict]:
 
 def parse_address(text: str) -> Tuple[str, int]:
     """``"host:port"`` → ``(host, port)``; bare ``":port"`` binds all
-    interfaces, a missing port is an error."""
+    interfaces, a missing port or one outside 0–65535 is an error."""
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"expected HOST:PORT, got {text!r}")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"expected HOST:PORT with a port in 0-65535, "
+                         f"got {text!r}")
     return (host or "0.0.0.0", int(port))
 
 
@@ -145,11 +148,12 @@ def descriptor_from_dict(data: dict) -> RunDescriptor:
 
 
 # ----------------------------------------------------------------------
-# Result codec (the cache's content-addressed object format)
+# Result codec (the cache's envelope, unpacked sample lists)
 # ----------------------------------------------------------------------
 
 def result_wrapper(key: str, result: RunResult) -> dict:
-    """A completed run as the run cache's on-disk object payload."""
+    """A completed run as a wire object: the run cache's envelope, with
+    sample lists as plain JSON floats (the cache packs them)."""
     return {
         "key": key,
         "format_version": _storage.FORMAT_VERSION,

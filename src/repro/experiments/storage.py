@@ -350,12 +350,6 @@ class ResultJournal:
         return descriptor_key(result.spec, result.size,
                               result.seed, result.period)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._results
-
-    def __len__(self) -> int:
-        return len(self._results)
-
     def get(self, key: str) -> Optional[RunResult]:
         return self._results.get(key)
 

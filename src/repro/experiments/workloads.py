@@ -4,7 +4,8 @@ The paper's measurement is one wget download (``bulk``); the
 scheduler-lab campaign also cares how policies behave under the
 *other* traffic shapes the paper discusses -- multi-object page loads
 (Section 1), streaming video (Section 6) and latency-sensitive
-real-time streams (Section 5.2).  Each workload here adapts one
+real-time streams (Section 5.2).  ``bulk`` is the runner's own HTTP
+download; each other workload here adapts one
 :mod:`repro.app` driver to the measurement runner's contract: a
 driver exposes ``record`` (with ``complete`` / ``download_time`` /
 ``established_at``), a ``start()`` hook called before ``connect()``,
@@ -33,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.app.http import HttpClient, HttpServerSession
+from repro.app.http import HttpServerSession
 from repro.app.realtime import RealtimeProfile, RealtimeSink, RealtimeStream
 from repro.app.video import StreamingProfile, VideoSession
 from repro.app.web import TYPICAL_PAGE, PageLoader
@@ -66,27 +67,6 @@ class WorkloadRecord:
     complete: bool = False
     download_time: Optional[float] = None
     established_at: Optional[float] = None
-
-
-class BulkWorkload:
-    """The paper's workload: one fixed-size HTTP download."""
-
-    name = "bulk"
-
-    def __init__(self, sim, connection, rng: random.Random,
-                 size: int) -> None:
-        self.size = size
-        self._client = HttpClient(sim, connection, size)
-
-    @property
-    def record(self):
-        return self._client.record
-
-    def start(self) -> None:
-        self._client.start()
-
-    def on_connection(self, server_conn) -> None:
-        HttpServerSession.fixed(server_conn, self.size)
 
 
 class PageloadWorkload:
@@ -196,15 +176,15 @@ class RealtimeWorkload:
 
 
 _WORKLOADS = {
-    cls.name: cls for cls in (BulkWorkload, PageloadWorkload,
-                              VideoWorkload, RealtimeWorkload)}
+    cls.name: cls for cls in (PageloadWorkload, VideoWorkload,
+                              RealtimeWorkload)}
 
 #: The workload names, in campaign-matrix order.
 WORKLOADS = ("bulk", "pageload", "video", "realtime")
 
 
 def build_workload(name: str, sim, connection, seed: int, size: int):
-    """Build the named workload driver over ``connection``.
+    """Build the named non-bulk workload driver over ``connection``.
 
     The driver's RNG stream is derived from the run seed and the
     workload name, so adding a workload to a campaign never perturbs

@@ -7,16 +7,12 @@ from repro.middlebox.base import (
     MiddleboxStats,
     install_chain,
 )
-from repro.middlebox.firewall import Cgn, StatefulFirewall
 from repro.middlebox.profiles import PROFILES, build_chain
 from repro.middlebox.proxy import PayloadProxy
 from repro.middlebox.rewriter import SequenceRewriter
-from repro.middlebox.state import FlowTable
 from repro.middlebox.stripper import OptionStripper
 
 __all__ = [
-    "Cgn",
-    "FlowTable",
     "LinkTap",
     "Middlebox",
     "MiddleboxChain",
@@ -25,7 +21,6 @@ __all__ = [
     "PROFILES",
     "PayloadProxy",
     "SequenceRewriter",
-    "StatefulFirewall",
     "build_chain",
     "install_chain",
 ]

@@ -12,8 +12,7 @@ combined with every wireless profile.
 
 A :class:`Middlebox` transforms one packet into zero or more packets:
 
-* returning ``[]`` drops the packet (stateful firewall without a flow
-  entry);
+* returning ``[]`` drops the packet;
 * returning one packet -- possibly with a rewritten segment -- models
   option stripping and sequence rewriting;
 * returning several packets models a split-connection proxy that
@@ -98,10 +97,6 @@ class MiddleboxChain:
     def __init__(self, boxes: Sequence[Middlebox] = ()) -> None:
         self.boxes: List[Middlebox] = list(boxes)
 
-    def append(self, box: Middlebox) -> "MiddleboxChain":
-        self.boxes.append(box)
-        return self
-
     def process(self, packet: Packet, direction: str,
                 now: float) -> List[Packet]:
         packets = [packet]
@@ -127,9 +122,6 @@ class MiddleboxChain:
             if not packets:
                 break
         return packets
-
-    def __iter__(self):
-        return iter(self.boxes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ",".join(type(box).__name__ for box in self.boxes)

@@ -12,7 +12,6 @@ import random
 from typing import Callable, Dict, Optional
 
 from repro.middlebox.base import MiddleboxChain
-from repro.middlebox.firewall import Cgn, StatefulFirewall
 from repro.middlebox.proxy import PayloadProxy
 from repro.middlebox.rewriter import SequenceRewriter
 from repro.middlebox.stripper import OptionStripper
@@ -49,11 +48,6 @@ PROFILES: Dict[str, _Builder] = {
         [SequenceRewriter(rng=rng)]),
     #: Split-connection proxy re-segmenting the stream.
     "proxy": lambda rng, probability: MiddleboxChain([PayloadProxy()]),
-    #: Stateful firewall with an idle timeout (quiet subflows die).
-    "firewall": lambda rng, probability: MiddleboxChain(
-        [StatefulFirewall()]),
-    #: Carrier-grade NAT: idle timeout plus a finite binding table.
-    "cgn": lambda rng, probability: MiddleboxChain([Cgn()]),
 }
 
 

@@ -9,8 +9,7 @@ We model exactly that filtering: inbound packets are admitted only when
 their reversed 4-tuple has been seen outbound (an established mapping).
 Everything else -- in particular unsolicited inbound SYNs -- is dropped.
 Mappings never expire: the paper's transfers are far shorter than any
-NAT idle timeout.  (Aging and capacity-limited bindings are the
-stateful firewall and CGN middleboxes.)
+NAT idle timeout.
 """
 
 from __future__ import annotations

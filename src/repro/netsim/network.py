@@ -56,9 +56,6 @@ class Network:
         self._interfaces[interface.address] = interface
         return interface
 
-    def interface(self, address: str) -> Interface:
-        return self._interfaces[address]
-
     def links_for(self, address: str) -> Tuple[Link, Link]:
         """Return (up_link, down_link) of the interface at ``address``."""
         interface = self._interfaces[address]

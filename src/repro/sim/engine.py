@@ -155,9 +155,6 @@ class Event:
         if sim is not None:
             sim._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "dead" if self.cancelled else "pending"
         label = f" {self.name!r}" if self.name else ""
@@ -228,11 +225,6 @@ class Simulator:
         #: aggregating sibling, under the same contract: no-op default,
         #: cached at construction, strictly passive.
         self.metrics = NULL_METRICS
-
-    @property
-    def heap_len(self) -> int:
-        """Current heap length, including cancelled/stale entries."""
-        return len(self._queue)
 
     # ------------------------------------------------------------------
     # Scheduling

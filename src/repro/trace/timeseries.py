@@ -30,37 +30,14 @@ class Series:
     def __len__(self) -> int:
         return len(self.values)
 
-    # An empty series has no extrema or mean: every statistic returns
-    # NaN (previously maximum/minimum said 0.0 while derived stats went
-    # NaN, and a legitimate all-zero series was indistinguishable from
-    # no data).
+    # An empty series has no extrema: both return NaN (0.0 would make a
+    # legitimate all-zero series indistinguishable from no data).
 
     def maximum(self) -> float:
         return max(self.values) if self.values else float("nan")
 
     def minimum(self) -> float:
         return min(self.values) if self.values else float("nan")
-
-    def mean(self) -> float:
-        if not self.values:
-            return float("nan")
-        return sum(self.values) / len(self.values)
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0..100) of the sampled values,
-        linearly interpolated between order statistics; NaN if empty."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self.values:
-            return float("nan")
-        ordered = sorted(self.values)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = rank - low
-        return ordered[low] + (ordered[high] - ordered[low]) * fraction
 
     def to_rows(self) -> List[Tuple[float, float]]:
         """The series as ``(time, value)`` rows, CSV-ready."""

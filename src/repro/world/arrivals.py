@@ -40,15 +40,6 @@ MB = 1024 * KB
 SamplerFn = Callable[[random.Random], int]
 
 
-def _fixed(params: Dict[str, str]) -> SamplerFn:
-    size = int(params.pop("bytes", 64 * KB))
-
-    def sample(rng: random.Random) -> int:
-        return size
-
-    return sample
-
-
 def _paper_split(params: Dict[str, str]) -> SamplerFn:
     """The paper's small/large mix: mostly short flows, few bulk ones.
 
@@ -84,33 +75,18 @@ def _lognormal(params: Dict[str, str]) -> SamplerFn:
     return sample
 
 
-def _pareto(params: Dict[str, str]) -> SamplerFn:
-    alpha = float(params.pop("alpha", 1.3))
-    xm = int(params.pop("xm", 16 * KB))
-    cap = int(params.pop("cap", 64 * MB))
-
-    def sample(rng: random.Random) -> int:
-        size = int(xm * rng.paretovariate(alpha))
-        return min(size, cap)
-
-    return sample
-
-
 SIZE_DISTRIBUTIONS: Dict[str, Callable[[Dict[str, str]], SamplerFn]] = {
-    "fixed": _fixed,
     "paper-split": _paper_split,
     "lognormal": _lognormal,
-    "pareto": _pareto,
 }
 
 
 def make_size_sampler(spec: str) -> SamplerFn:
     """Build a flow-size sampler from a spec string.
 
-    ``"paper-split"``, ``"fixed:bytes=65536"``,
-    ``"pareto:alpha=1.2,xm=8192"``, ... -- same syntax as the
-    scheduler registry.  Raises ``ValueError`` for unknown names or
-    parameters.
+    ``"paper-split"``, ``"lognormal:mu=9.6,sigma=1.0"``, ... -- same
+    syntax as the scheduler registry.  Raises ``ValueError`` for
+    unknown names or parameters.
     """
     name, params = parse_strategy(spec)
     factory = SIZE_DISTRIBUTIONS.get(name)

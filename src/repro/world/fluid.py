@@ -400,10 +400,6 @@ class FluidNetwork:
             self._reallocate()
         return flow
 
-    @property
-    def live_flows(self) -> int:
-        return self._live
-
     # -- classes -------------------------------------------------------
 
     def _class_for(self, route: Tuple[str, ...],

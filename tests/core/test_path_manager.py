@@ -1,14 +1,9 @@
-"""Unit tests for the path manager strategies."""
+"""Unit tests for the full-mesh path manager."""
 
 import pytest
 
-from repro.core.path_manager import (
-    NDiffPortsPathManager,
-    PathManager,
-    PrimaryBackupPathManager,
-    make_path_manager,
-    path_manager_names,
-)
+from repro.core.path_manager import PathManager
+from repro.experiments.config import FlowSpec
 
 
 class FakeConnection:
@@ -93,90 +88,12 @@ def test_duplicate_add_addr_remote_tracked_once():
         ("client.wifi", "server.eth0"), ("client.wifi", "server.eth1")]
 
 
-# ----------------------------------------------------------------------
-# Strategy registry and the non-default strategies
-# ----------------------------------------------------------------------
-
-class FakeBackupConnection:
-    """Fake accepting the ``backup`` keyword primary-backup passes."""
-
-    def __init__(self):
-        self.opened = []
-
-    def open_subflow(self, local, remote, backup=False):
-        self.opened.append((local, remote, backup))
-
-
-def test_registry_names():
-    assert path_manager_names() == ["fullmesh", "ndiffports",
-                                    "primary-backup"]
-
-
-def test_make_path_manager_builds_each_strategy():
-    for spec, cls in (("fullmesh", PathManager),
-                      ("primary-backup", PrimaryBackupPathManager),
-                      ("ndiffports", NDiffPortsPathManager)):
-        manager = make_path_manager(spec, FakeBackupConnection(),
-                                    ["client.wifi"], "server.eth0")
-        assert type(manager) is cls
-
-
-def test_make_path_manager_parameterized_ndiffports():
-    manager = make_path_manager("ndiffports:ports=3",
-                                FakeBackupConnection(),
-                                ["client.wifi"], "server.eth0")
-    assert manager.ports == 3
-
-
 def test_make_path_manager_rejects_unknown():
-    with pytest.raises(ValueError):
-        make_path_manager("mesh-of-meshes", FakeBackupConnection(),
-                          ["client.wifi"], "server.eth0")
-    with pytest.raises(ValueError):
-        make_path_manager("fullmesh:ports=2", FakeBackupConnection(),
-                          ["client.wifi"], "server.eth0")
-    with pytest.raises(ValueError):
-        make_path_manager("ndiffports:ports=0", FakeBackupConnection(),
-                          ["client.wifi"], "server.eth0")
-
-
-def test_primary_backup_opens_joins_in_backup_mode():
-    connection = FakeBackupConnection()
-    manager = PrimaryBackupPathManager(
-        connection, ["client.wifi", "client.att"], "server.eth0")
-    manager.start()
-    manager.on_initial_established()
-    # Every open carries backup=True; the connection layer itself keeps
-    # the *initial* subflow regular regardless of the flag.
-    assert connection.opened == [
-        ("client.wifi", "server.eth0", True),
-        ("client.att", "server.eth0", True)]
-
-
-def test_ndiffports_opens_n_subflows_on_one_pair():
-    connection = FakeBackupConnection()
-    manager = NDiffPortsPathManager(
-        connection, ["client.wifi", "client.att"], "server.eth0", ports=3)
-    manager.start()
-    assert len(connection.opened) == 1
-    manager.on_initial_established()
-    assert connection.opened == [
-        ("client.wifi", "server.eth0", False)] * 3
-    # Re-establishment must not duplicate the port set.
-    manager.on_initial_established()
-    assert len(connection.opened) == 3
-
-
-def test_ndiffports_ignores_add_addr_and_other_interfaces():
-    connection = FakeBackupConnection()
-    manager = NDiffPortsPathManager(
-        connection, ["client.wifi", "client.att"], "server.eth0", ports=2)
-    manager.start()
-    manager.on_initial_established()
-    manager.on_add_addr(("server.eth1",))
-    assert len(connection.opened) == 2
-    assert all(pair[:2] == ("client.wifi", "server.eth0")
-               for pair in connection.opened)
+    """Full mesh is the one path manager: a spec naming any other, or
+    parameterizing it, is refused."""
+    for name in ("mesh-of-meshes", "ndiffports", "fullmesh:ports=2"):
+        with pytest.raises(ValueError, match="path manager"):
+            FlowSpec.mptcp(path_manager=name)
 
 
 # ----------------------------------------------------------------------
@@ -202,21 +119,21 @@ def _transfer(config, size=256 * 1024, seed=5, until=60.0):
     return connection, client
 
 
+def test_primary_backup_opens_joins_in_backup_mode():
+    """Primary-backup is ``backup_paths`` naming every extra path: the
+    initial subflow stays regular, the join carries the B-bit."""
+    from repro.core.connection import MptcpConfig
+    connection, client = _transfer(MptcpConfig(backup_paths=("att",)))
+    initial, join = connection.subflows
+    assert initial.is_initial and not initial.backup
+    assert join.path_name == "att" and join.backup
+
+
 def test_primary_backup_keeps_cellular_idle_end_to_end():
     from repro.core.connection import MptcpConfig
-    connection, client = _transfer(MptcpConfig(
-        path_manager="primary-backup"))
+    connection, client = _transfer(MptcpConfig(backup_paths=("att",)))
     assert client.record.complete
     cellular = [s for s in connection.subflows if s.path_name == "att"][0]
     assert cellular.backup
     shares = connection.receive_buffer.metrics.bytes_by_path
     assert shares.get("att", 0) == 0
-
-
-def test_ndiffports_runs_n_subflows_over_wifi_end_to_end():
-    from repro.core.connection import MptcpConfig
-    connection, client = _transfer(MptcpConfig(
-        path_manager="ndiffports:ports=3"))
-    assert client.record.complete
-    assert len(connection.subflows) == 3
-    assert all(s.path_name == "wifi" for s in connection.subflows)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.path_manager import path_manager_names
 from repro.core.scheduler import scheduler_names
 from repro.experiments.config import FlowSpec
 from repro.experiments.protocol import descriptor_to_dict
@@ -128,7 +127,6 @@ def flow_specs(draw):
         paths=draw(st.sampled_from([2, 4])),
         simultaneous_syn=draw(st.booleans()),
         scheduler=draw(st.sampled_from(scheduler_names())),
-        path_manager=draw(st.sampled_from(path_manager_names())),
         penalization=draw(st.booleans()),
         ssthresh=draw(st.integers(1, 1 << 24)),
         rcv_buffer=draw(st.integers(1, 1 << 26)),

@@ -90,7 +90,7 @@ def test_observations_override_the_heuristic():
     model.observe(descriptor, 3.0)
     model.observe(descriptor, 5.0)
     assert model.estimate(descriptor) == pytest.approx(4.0)
-    assert model.calibrated == 1
+    assert len(model._observed) == 1
 
 
 def test_same_identity_scales_to_other_sizes():
@@ -227,5 +227,5 @@ def test_every_path_calibrates_the_cost_model(kwargs):
     plan = Campaign(small_campaign()).plan()
     model = CostModel()
     execute_plan(plan, cost_model=model, **kwargs)
-    assert model.calibrated == len({(cell.spec.identity, cell.size)
+    assert len(model._observed) == len({(cell.spec.identity, cell.size)
                                     for cell in plan})

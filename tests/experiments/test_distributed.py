@@ -36,7 +36,11 @@ from repro.experiments.protocol import (
     send_message,
 )
 from repro.experiments.runner import Campaign, CampaignSpec
-from repro.experiments.storage import ResultJournal, result_to_dict
+from repro.experiments.storage import (
+    ResultJournal,
+    load_results,
+    result_to_dict,
+)
 from repro.perf import Instrumentation
 from repro.obs.telemetry import RunLog, run_log_failovers
 from repro.wireless.profiles import TimeOfDay
@@ -139,8 +143,13 @@ def test_framing_rejects_truncated_header():
 
 def test_parse_address():
     assert parse_address("127.0.0.1:8000") == ("127.0.0.1", 8000)
+    assert parse_address(":65535") == ("0.0.0.0", 65535)
+    assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
     with pytest.raises(ValueError):
         parse_address("no-port-here")
+    for text in ("127.0.0.1:65536", "127.0.0.1:70000", "host:99999999"):
+        with pytest.raises(ValueError, match=text):
+            parse_address(text)
 
 
 def test_descriptor_codec_round_trip():
@@ -324,6 +333,73 @@ def test_failed_cell_aborts_the_campaign():
         coordinator.close()
 
 
+def _swap_keys(rows, plan):
+    rows[0]["key"], rows[1]["key"] = rows[1]["key"], rows[0]["key"]
+    rows[0]["object"], rows[1]["object"] = \
+        rows[1]["object"], rows[0]["object"]
+
+
+def _past_the_plan(rows, plan):
+    rows[0]["position"] = len(plan)
+
+
+def _without_object(rows, plan):
+    del rows[0]["object"]
+
+
+@pytest.mark.parametrize("mangle", [_swap_keys, _past_the_plan,
+                                    _without_object])
+def test_a_malformed_publish_never_fills_a_slot(mangle, tmp_path):
+    """A publish whose row does not carry its position's cell (another
+    cell's key, a position past the plan, no object) drops the worker
+    with a ``worker_error`` record and refronts its lease; an honest
+    worker then fills every slot byte-identical to serial."""
+    spec = small_campaign()
+    plan = Campaign(spec).plan()
+    serial = Campaign(spec, jobs=1).run()
+    slots = [None] * len(plan)
+
+    def deliver(position, result, report, wall_s):
+        slots[position] = result
+
+    run_log = tmp_path / "run_log.jsonl"
+    coordinator = Coordinator(plan, [[0, 1], [2, 3]], total=len(plan),
+                              is_filled=lambda p: slots[p] is not None,
+                              deliver=deliver, run_log=str(run_log))
+    try:
+        coordinator.start()
+        with socket.create_connection(coordinator.address,
+                                      timeout=10.0) as conn:
+            send_message(conn, {"type": "hello", "worker": "liar",
+                                "jobs": 1,
+                                "protocol": PROTOCOL_VERSION,
+                                "format_version": storage.FORMAT_VERSION})
+            assert recv_message(conn)["type"] == "welcome"
+            send_message(conn, {"type": "lease"})
+            grant = recv_message(conn)
+            rows = [{"position": position, "key": plan[position].key,
+                     "object": result_wrapper(plan[position].key,
+                                              serial[position])}
+                    for position in grant["positions"]]
+            mangle(rows, plan)
+            send_message(conn, {"type": "publish", "lease": grant["lease"],
+                                "rows": rows})
+            try:
+                reply = recv_message(conn)
+            except OSError:
+                reply = None
+            assert reply is None                # dropped, not answered
+        assert run_worker("%s:%d" % coordinator.address,
+                          stream=io.StringIO()) == 0
+        coordinator.wait(timeout=30.0)
+    finally:
+        coordinator.close()
+    assert full_dicts(slots) == full_dicts(serial)
+    errors = [record for record in RunLog.read(run_log)
+              if record["event"] == "worker_error"]
+    assert [record["worker"] for record in errors] == ["liar"]
+
+
 @pytest.mark.parametrize("boom_at", [1, 2])
 def test_failed_message_names_the_cell_that_raised(boom_at, tmp_path):
     """In a multi-cell chunk the worker must blame the cell that
@@ -483,7 +559,7 @@ def test_stores_are_entered_from_the_calling_thread_only(tmp_path):
                      journal=_ThreadRecorder(journal, idents),
                      progress=lambda *tick:
                          idents.add(threading.get_ident()))
-        assert cache.puts == len(plan) == len(journal)
+        assert cache.puts == len(plan) == len(load_results(journal.path))
     assert idents == {threading.get_ident()}
 
 

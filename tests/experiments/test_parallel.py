@@ -83,7 +83,7 @@ def test_resume_skips_completed_cells(tmp_path, monkeypatch):
     assert len(executed) == len(plan) - 2, "completed cells must not rerun"
     assert full_dicts(resumed) == full_dicts(baseline)
     # The journal now holds the whole campaign.
-    assert len(ResultJournal(journal_path)) == len(plan)
+    assert ResultJournal(journal_path).restored == len(plan)
 
 
 def test_parallel_resume_equals_serial(tmp_path):
@@ -119,7 +119,7 @@ def test_resume_tolerates_truncated_journal(tmp_path):
         reopened = ResultJournal(journal_path)
     assert reopened.restored == len(plan)
     for descriptor in plan:
-        assert descriptor.key in reopened
+        assert reopened.get(descriptor.key) is not None
     reopened.close()
 
 
@@ -146,7 +146,8 @@ def test_worker_failure_journals_finished_runs(tmp_path):
     journal = ResultJournal(journal_path)
     assert journal.restored == 3
     for descriptor in plan:
-        assert (descriptor.key in journal) == (descriptor is not boom)
+        assert (journal.get(descriptor.key) is not None) == \
+            (descriptor is not boom)
     journal.close()
 
 

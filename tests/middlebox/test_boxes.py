@@ -6,14 +6,12 @@ import pytest
 
 from repro.core.options import DssMapping, MptcpOptions
 from repro.middlebox import (
-    Cgn,
-    FlowTable,
     LinkTap,
+    Middlebox,
     MiddleboxChain,
     OptionStripper,
     PayloadProxy,
     SequenceRewriter,
-    StatefulFirewall,
     build_chain,
     install_chain,
 )
@@ -172,75 +170,6 @@ def test_proxy_passes_small_packets_untouched():
 
 
 # ----------------------------------------------------------------------
-# FlowTable / StatefulFirewall / Cgn
-# ----------------------------------------------------------------------
-
-def test_flow_table_idle_expiry():
-    table = FlowTable(idle_timeout=30.0)
-    table.touch("flow", now=0.0)
-    assert table.active("flow", now=29.0)       # refreshed at 29
-    assert table.active("flow", now=58.0)       # still inside 29+30
-    assert not table.active("flow", now=100.0)  # expired
-    assert table.expired == 1
-    assert "flow" not in table
-
-
-def test_flow_table_lru_eviction():
-    table = FlowTable(max_entries=2)
-    table.touch("a", now=0.0)
-    table.touch("b", now=1.0)
-    table.active("a", now=2.0)   # refresh makes "b" the LRU entry
-    table.touch("c", now=3.0)
-    assert "a" in table and "c" in table and "b" not in table
-    assert table.evicted == 1
-
-
-def test_flow_table_without_timeout_or_capacity_is_a_membership_set():
-    table = FlowTable()
-    assert table.touch("a", now=5.0) is True
-    assert table.touch("a", now=9.0) is False
-    assert table.active("a", now=1e9) and table.active("a", refresh=False)
-    assert not table.active("b")
-    assert "a" in table and len(table) == 1
-    table.drop("a")
-    assert not table.active("a")
-    assert (table.expired, table.evicted) == (0, 0)
-
-
-def test_flow_table_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        FlowTable(idle_timeout=0)
-    with pytest.raises(ValueError):
-        FlowTable(max_entries=0)
-
-
-def test_firewall_binding_lifecycle():
-    box = StatefulFirewall(idle_timeout=30.0)
-    outbound = make_packet()
-    inbound = make_packet(src="server.eth0", dst="client.wifi",
-                          src_port=80, dst_port=1000)
-    # No binding yet: inbound dies silently.
-    assert box.process(inbound, "down", 0.0) == []
-    box.process(outbound, "up", 1.0)
-    assert box.process(inbound, "down", 2.0) == [inbound]
-    # Quiet past the timeout: the binding is gone.
-    assert box.process(inbound, "down", 40.0) == []
-
-
-def test_cgn_port_exhaustion_kills_quietest_flow():
-    box = Cgn(idle_timeout=None, max_entries=2)
-    for port, when in ((1000, 0.0), (1001, 1.0), (1002, 2.0)):
-        box.process(make_packet(src_port=port), "up", when)
-    victim = make_packet(src="server.eth0", dst="client.wifi",
-                         src_port=80, dst_port=1000)
-    survivor = make_packet(src="server.eth0", dst="client.wifi",
-                           src_port=80, dst_port=1002)
-    assert box.process(victim, "down", 3.0) == []
-    assert box.process(survivor, "down", 3.0) == [survivor]
-    assert box.table.evicted == 1
-
-
-# ----------------------------------------------------------------------
 # Chain, tap, link hook
 # ----------------------------------------------------------------------
 
@@ -274,8 +203,9 @@ def test_link_tap_rejects_bad_direction():
         LinkTap(MiddleboxChain(), "sideways")
 
 
-class _DroppingBox(StatefulFirewall):
-    pass
+class _DroppingBox(Middlebox):
+    def process(self, packet, direction, now):
+        return []
 
 
 def _make_link(sim):

@@ -187,7 +187,7 @@ def test_reschedule_backward_then_forward_and_multi_hop():
     sim.schedule(2.5, lambda: sim.reschedule(timer, 1.5))
     sim.run()
     assert seen == [4.0]
-    assert sim.heap_len == 0
+    assert len(sim._queue) == 0
     assert sim._stale == 0
     assert not sim._ghost_seqs
 
@@ -207,7 +207,7 @@ def test_cancel_after_backward_reschedule_no_double_release():
         sim.schedule(1.0 + index, seen.append, index)
     sim.run()
     assert seen == list(range(8))
-    assert sim.heap_len == 0 and sim._stale == 0
+    assert len(sim._queue) == 0 and sim._stale == 0
     assert not sim._ghost_seqs
 
 
@@ -224,10 +224,10 @@ def test_compaction_drops_ghost_entries():
     assert sim.heap_compactions >= 1
     assert not sim._ghost_seqs    # ghost swept during compaction
     assert sim.pending() == 1     # only the re-keyed timer is live
-    assert sim.heap_len < 100     # tombstone pile was swept away
+    assert len(sim._queue) < 100     # tombstone pile was swept away
     sim.run()
     assert keepers == [400.0]
-    assert sim.heap_len == 0 and sim._stale == 0
+    assert len(sim._queue) == 0 and sim._stale == 0
 
 
 # ----------------------------------------------------------------------
@@ -281,11 +281,11 @@ def test_fired_handle_cancel_is_harmless_noop():
 def test_compaction_drops_cancelled_entries():
     sim = Simulator()
     events = [sim.schedule(100.0, lambda: None) for _ in range(500)]
-    assert sim.heap_len == 500
+    assert len(sim._queue) == 500
     for event in events:
         event.cancel()
     assert sim.heap_compactions >= 1
-    assert sim.heap_len < 500
+    assert len(sim._queue) < 500
     assert sim.pending() == 0
     sim.run()
     assert sim.events_processed == 0
@@ -325,7 +325,7 @@ def test_pending_is_constant_time_and_exact_under_rto_churn():
     # One live RTO timer remains; tombstones must have been compacted
     # away instead of accumulating 5000 entries.
     assert sim.pending() == 1
-    assert sim.heap_len < 200
+    assert len(sim._queue) < 200
     assert sim.peak_heap < 200
     assert sim.heap_compactions > 0
 

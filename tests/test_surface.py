@@ -1,14 +1,23 @@
-"""Surface gate: no module under ``src/repro`` that only tests reach.
+"""Surface gate: nothing under ``src/repro`` that only tests reach.
 
-Every module must be imported by code outside ``tests/`` -- another
-part of ``src/repro``, a benchmark, an example or the perfbench
-harness.  A package ``__init__`` re-exporting its own submodule does
-not count (that is how an unused module stays loaded), but importing a
-name that an ``__init__`` binds from a submodule counts for that
-submodule, and so does a ``repro.obs._LAZY`` entry.  A module only a
-test needs lives beside that test, as ``tests/netsim/reference_link.py``
-does.  Package ``__init__`` files are exempt: any submodule import
-loads them.
+Modules: every module must be imported by code outside ``tests/`` --
+another part of ``src/repro``, a benchmark, an example or the
+perfbench harness.  A package ``__init__`` re-exporting its own
+submodule does not count (that is how an unused module stays loaded),
+but importing a name that an ``__init__`` binds from a submodule counts
+for that submodule, and so does a ``repro.obs._LAZY`` entry.  A module
+only a test needs lives beside that test, as
+``tests/netsim/reference_link.py`` does.  Package ``__init__`` files
+are exempt: any submodule import loads them.
+
+Knob values: every name a registry accepts (middlebox profiles,
+schedulers, ``FlowSpec.path_manager`` values, flow-size distributions)
+must be selected by a string outside ``tests/`` and outside the module
+that defines it.
+
+Functions: ``tests/surface_reach.txt`` is the measured per-function
+report; each def it keeps, or leaves for the next pass, must still
+exist.
 """
 
 import ast
@@ -99,3 +108,101 @@ def test_package_all_resolves(package):
         except (AttributeError, ImportError):
             unresolved.append(name)
     assert unresolved == []
+
+
+def _string_constants(paths):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+
+def _path_managers():
+    """The ``FlowSpec.path_manager`` values ``FlowSpec`` accepts.  There
+    is no registry to read, so offer it every string the tree holds."""
+    from repro.experiments.config import FlowSpec
+    trees = [ROOT / caller for caller in CALLERS] + [ROOT / "tests"]
+    accepted = set()
+    for text in set(_string_constants(
+            path for tree in trees for path in tree.rglob("*.py"))):
+        try:
+            FlowSpec(mode="mp", path_manager=text)
+        except (ValueError, TypeError):
+            continue
+        accepted.add(text.partition(":")[0])
+    return accepted
+
+
+#: registry -> the module that defines its names.
+HOMES = {
+    "middlebox profile": "middlebox/profiles.py",
+    "path manager": "core/path_manager.py",
+    "scheduler": "core/scheduler.py",
+    "size distribution": "world/arrivals.py",
+}
+
+
+def _accepted(registry):
+    """The names one registry accepts."""
+    if registry == "path manager":
+        return _path_managers()
+    from repro.core.scheduler import scheduler_names
+    from repro.middlebox import PROFILES
+    from repro.world.arrivals import SIZE_DISTRIBUTIONS
+    return {"middlebox profile": set(PROFILES),
+            "scheduler": set(scheduler_names()),
+            "size distribution": set(SIZE_DISTRIBUTIONS)}[registry]
+
+
+@pytest.mark.parametrize("registry", sorted(HOMES))
+def test_every_registered_name_is_selected_outside_tests(registry):
+    selectors = [path for caller in CALLERS
+                 for path in sorted((ROOT / caller).rglob("*.py"))
+                 if path != SRC / "repro" / HOMES[registry]]
+    selected = {text.partition(":")[0]
+                for text in _string_constants(selectors)}
+    unselected = sorted(_accepted(registry) - selected)
+    assert unselected == [], (
+        f"only tests select the {registry} names {unselected}: delete them")
+
+
+def _defs(module):
+    """Qualified names of every def in ``module``'s source."""
+    found = set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add(prefix + child.name)
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(MODULES[module].read_text()), "")
+    return found
+
+
+def test_reach_report_names_existing_defs():
+    """Every ``kept`` / ``next`` entry of the reach report is still a
+    def (or, for ``NAME["key"]``, still a key of that registry)."""
+    missing = []
+    for line in (ROOT / "tests" / "surface_reach.txt").read_text() \
+            .splitlines():
+        if line.startswith("#"):
+            continue
+        verdict, entry = line.split("\t")[:2]
+        assert verdict in ("deleted", "kept", "next"), line
+        if verdict == "deleted":
+            continue
+        module, qualname = entry.split(":")
+        name, _, key = qualname.partition("[")
+        if key:
+            registry = getattr(importlib.import_module(module), name)
+            present = ast.literal_eval(key[:-1]) in registry
+        else:
+            present = qualname in _defs(module)
+        if not present:
+            missing.append(entry)
+    assert missing == [], f"stale reach report entries: {missing}"

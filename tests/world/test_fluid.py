@@ -175,7 +175,7 @@ def test_single_flow_completion_time():
     # 10 Mbit of data over a 10 Mbit/s link: exactly one second.
     assert abs(done[0].duration - 1.0) < 1e-6
     assert fluid.stats.flows_completed == 1
-    assert fluid.live_flows == 0
+    assert fluid._live == 0
 
 
 def test_processor_sharing_closed_loop():
@@ -183,7 +183,7 @@ def test_processor_sharing_closed_loop():
     sim, fluid = _world()
     rng = random.Random(1)
     loop = ClosedLoopUsers(sim, fluid, rng, [("dl",)],
-                           make_size_sampler("fixed:bytes=125000"),
+                           lambda rng: 125_000,
                            users=4, think_mean=0.0)
     loop.start()
     sim.run(until=10.0)
@@ -249,7 +249,7 @@ def test_packet_flow_reserves_share_but_claims_no_load():
     sim.run(until=10.0)
     assert abs(done[0].duration - 2.0) < 1e-6
     fluid.detach_packet_flow(key)
-    assert fluid.live_flows == 0
+    assert fluid._live == 0
 
 
 def test_zero_background_world_schedules_nothing():
@@ -275,7 +275,7 @@ def test_poisson_arrivals_stop_when():
     flag = {"stop": False}
     arrivals = PoissonArrivals(
         sim, fluid, rng, [("dl",)],
-        make_size_sampler("fixed:bytes=65536"), rate=50.0,
+        lambda rng: 65_536, rate=50.0,
         stop_when=lambda: flag["stop"])
     arrivals.start()
     sim.schedule(1.0, lambda: flag.update(stop=True))
@@ -283,7 +283,7 @@ def test_poisson_arrivals_stop_when():
     # Generation stopped shortly after t=1, everything drained well
     # before the horizon, and nothing is left in the event queue.
     assert arrivals.stopped
-    assert fluid.live_flows == 0
+    assert fluid._live == 0
     assert sim.pending() == 0
     assert fluid.stats.last_completion_at < 10.0
     assert fluid.stats.flows_started == fluid.stats.flows_completed
@@ -742,7 +742,7 @@ def test_batch_reallocates_when_its_body_raises():
             raise RuntimeError("generator failed mid-batch")
     sim.run(until=10.0)
     assert len(done) == 1 and abs(done[0].duration - 1.0) < 1e-6
-    assert fluid.live_flows == 0
+    assert fluid._live == 0
     # Not left inside the batch: the next arrival solves on its own.
     fluid.start_flow(("dl",), 1_250_000, on_complete=done.append)
     sim.run(until=20.0)
@@ -763,7 +763,7 @@ def test_nested_batch_in_completion_callback_defers_to_the_event(
     fluid.start_flow(("dl",), 125_000, on_complete=restart)
     del solver_calls[:]
     assert sim.step()                   # completion + both restarts
-    assert fluid.live_flows == 2
+    assert fluid._live == 2
     assert len(solver_calls) == 1 and len(solver_calls[0]) == 2
 
 
@@ -789,7 +789,7 @@ def test_same_class_restart_neither_solves_nor_pushes_load(solver_calls):
     pushed = [len(link.loads) for link in links.values()]
 
     assert sim.step()                   # 100 kB done, restarted in place
-    assert fluid.stats.flows_completed == 1 and fluid.live_flows == 3
+    assert fluid.stats.flows_completed == 1 and fluid._live == 3
     assert solver_calls == []
     assert [len(link.loads) for link in links.values()] == pushed
     assert sim.pending() == 1           # the timer is still re-armed
