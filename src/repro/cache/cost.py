@@ -13,10 +13,8 @@ Neither decision can change a single result byte — results are
 reassembled by plan position — so the cost model only has to be
 *roughly* right.  Estimates come from, in order of preference:
 
-1. Observed wall times for the exact ``(identity, size)`` — from a
-   previous campaign's run log (:meth:`CostModel.from_run_log`) or
-   from runs completed earlier in this invocation
-   (:meth:`CostModel.observe`).
+1. Observed wall times for the exact ``(identity, size)`` from runs
+   completed earlier in this invocation (:meth:`CostModel.observe`).
 2. Observed wall times for the same identity at another size, scaled
    linearly (simulation cost is dominated by per-packet work).
 3. A seconds-scale heuristic: fixed setup cost plus
@@ -54,29 +52,12 @@ class CostModel:
     # Calibration inputs
     # ------------------------------------------------------------------
 
-    @classmethod
-    def from_run_log(cls, path) -> "CostModel":
-        """Calibrate from a telemetry run log's finish records."""
-        from repro.obs.telemetry import run_log_wall_times
-        model = cls()
-        try:
-            observed = run_log_wall_times(path)
-        except OSError:
-            return model
-        for key, samples in observed.items():
-            for wall_s in samples:
-                model._record(key, wall_s)
-        return model
-
     def observe(self, descriptor, wall_s: float) -> None:
         """Feed one completed run's wall time back into the model."""
         key = self._key(descriptor)
         if key is not None:
-            self._record(key, wall_s)
-
-    def _record(self, key: Tuple[str, int], wall_s: float) -> None:
-        total, count = self._observed.get(key, (0.0, 0))
-        self._observed[key] = (total + wall_s, count + 1)
+            total, count = self._observed.get(key, (0.0, 0))
+            self._observed[key] = (total + wall_s, count + 1)
 
     # ------------------------------------------------------------------
     # Estimation

@@ -22,7 +22,7 @@ subflow).  Responsibilities:
   the window of the subflow responsible for receive-buffer blockage --
   which the paper explicitly removes (Section 3.1, "No subflow
   penalty"); it is therefore **off by default** here, and available for
-  the ablation benchmark.
+  the ablation study (``repro abl_penalty``).
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ def parse_failure(value: str) -> dict:
     """Parse a failure-schedule spec into its parameters.
 
     Grammar: ``outage:down=<seconds>,up=<seconds>|never[,path=wifi|cell]``
-    — an interface outage window on one access path, the
-    bench_ext_handover schedule as a first-class campaign knob.
+    — an interface outage window on one access path, as a campaign
+    knob.
     ``"none"`` raises (callers gate on it before parsing).
     """
     kind, _, params_text = value.partition(":")
@@ -100,7 +100,7 @@ class FlowSpec:
     world: str = "none"
     #: Injected failure schedule: ``none`` (the paper's undisturbed
     #: runs) or a spec parsed by :func:`parse_failure`, e.g.
-    #: ``outage:down=2,up=6`` for the bench_ext_handover window.
+    #: ``outage:down=2,up=6`` for the handover study's window.
     failure: str = "none"
 
     def __post_init__(self) -> None:

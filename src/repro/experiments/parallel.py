@@ -116,15 +116,6 @@ def run_cell(descriptor: RunDescriptor, telemetry=None
     return result, inst.report(), wall
 
 
-def _default_cost_model(run_log: Optional[str]):
-    """A cost model for one campaign: run-log calibrated when a
-    previous invocation left finish records, heuristic otherwise."""
-    from repro.cache import CostModel
-    if run_log is not None and os.path.exists(run_log):
-        return CostModel.from_run_log(run_log)
-    return CostModel()
-
-
 def execute_plan(plan: Sequence[RunDescriptor],
                  jobs: Optional[int] = 1,
                  progress: Optional[ProgressFn] = None,
@@ -160,9 +151,9 @@ def execute_plan(plan: Sequence[RunDescriptor],
     Every multi-worker campaign is one
     :class:`~repro.experiments.distributed.Coordinator` leasing chunks
     to workers that ask for them: cells are ordered longest-job-first
-    by ``cost_model`` (a :class:`repro.cache.CostModel`; default:
-    calibrated from ``run_log`` if one exists, and fed the wall time of
-    every cell executed here), ``chunk`` > 1 batches tiny cells into
+    by ``cost_model`` (a :class:`repro.cache.CostModel`, fed the wall
+    time of every cell executed here; default: a fresh one), ``chunk``
+    > 1 batches tiny cells into
     one lease.  ``backend`` only chooses how workers are spawned:
     ``"pool"`` (the default) starts ``jobs`` local worker processes —
     and runs in-process instead when one worker would do —
@@ -216,9 +207,9 @@ def execute_plan(plan: Sequence[RunDescriptor],
             else:
                 pending.append(position)
 
-        if cost_model is None and pending:
-            # An all-hit pass dispatches nothing: skip the run-log parse.
-            cost_model = _default_cost_model(run_log)
+        if cost_model is None:
+            from repro.cache import CostModel
+            cost_model = CostModel()
 
         def deliver(position: int, result: RunResult,
                     report: Optional[dict],

@@ -95,7 +95,8 @@ def recv_message(sock) -> Optional[dict]:
         raise ProtocolError("connection closed mid-message")
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as error:   # RecursionError: nesting too deep
         raise ProtocolError(f"undecodable frame: {error}") from error
     if not isinstance(payload, dict):
         raise ProtocolError(f"expected a JSON object, got "

@@ -1,8 +1,8 @@
 """Rendering: ASCII tables, text 'figures', CSV export.
 
-The benchmarks print the same rows and series the paper's tables and
-figures report; these helpers keep the formatting consistent and make
-the output easy to diff against EXPERIMENTS.md.
+The CLI artifacts print the same rows and series the paper's tables
+and figures report; these helpers keep the formatting consistent and
+make the output easy to diff against EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -264,9 +264,9 @@ class Measurement:
         scheduled, so undisturbed runs replay bit-for-bit.  Otherwise
         an :class:`repro.wireless.mobility.InterfaceOutage` takes the
         chosen access interface down and (optionally) back up, wired to
-        the MPTCP path manager's interface callbacks exactly as the
-        handover benchmark does — so MP flows re-join on recovery while
-        SP flows on the failed path simply stall.
+        the MPTCP path manager's interface callbacks — so MP flows
+        re-join on recovery while SP flows on the failed path simply
+        stall.
         """
         spec = self.spec
         if spec.failure == "none":
@@ -479,6 +479,10 @@ class CampaignSpec:
         TimeOfDay.NIGHT, TimeOfDay.MORNING,
         TimeOfDay.AFTERNOON, TimeOfDay.EVENING)
     base_seed: int = 2013  # the paper's vintage
+    #: Common random numbers: every config of one (size, period,
+    #: repetition) draws the same seed, so a study compares its
+    #: configs run for run instead of across independent draws.
+    paired: bool = False
 
     def total_runs(self) -> int:
         return (len(self.specs) * len(self.sizes) * self.repetitions
@@ -513,7 +517,8 @@ class Campaign:
         The per-run seed is derived from the spec's full
         :attr:`FlowSpec.identity`, not just its label and carrier — two
         ablation specs differing only in scheduler or ssthresh must not
-        share seeds, or their "independent" runs are correlated.
+        share seeds, or their "independent" runs are correlated -- unless
+        the campaign is :attr:`~CampaignSpec.paired`.
         """
         spec = self.spec
         shuffler = random.Random(derive_seed(spec.base_seed,
@@ -527,9 +532,9 @@ class Campaign:
                          for size in spec.sizes]
                 shuffler.shuffle(cells)
                 for flow, size in cells:
+                    config = "" if spec.paired else f"{flow.identity}:"
                     seed = derive_seed(
-                        spec.base_seed,
-                        f"{spec.name}:{flow.identity}:"
+                        spec.base_seed, f"{spec.name}:{config}"
                         f"{size}:{period.value}:{repetition}")
                     descriptors.append(RunDescriptor(
                         index=len(descriptors), spec=flow, size=size,

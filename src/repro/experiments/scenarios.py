@@ -9,10 +9,10 @@ print/export these rows.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.experiments.config import FlowSpec
-from repro.experiments.runner import Campaign, CampaignSpec, RunResult
+from repro.experiments.runner import CampaignSpec, RunResult
 from repro.experiments.stats import (
     ccdf_at_fractions,
     five_number,
@@ -38,90 +38,62 @@ QUICK_PERIODS = (TimeOfDay.AFTERNOON,)
 # Campaign builders
 # ----------------------------------------------------------------------
 
-def baseline_campaign(repetitions: int = 3,
-                      periods: Tuple[TimeOfDay, ...] = QUICK_PERIODS,
-                      base_seed: int = 2013) -> CampaignSpec:
-    """Figures 2/3 and Table 2: every carrier, SP vs MP, 4 sizes."""
-    specs: List[FlowSpec] = [FlowSpec.single_path("wifi")]
-    for carrier in CARRIERS:
-        specs.append(FlowSpec.single_path("cell", carrier=carrier))
-    for carrier in CARRIERS:
-        specs.append(FlowSpec.mptcp(carrier=carrier, controller="coupled"))
-    return CampaignSpec(
-        name="baseline", specs=tuple(specs),
-        sizes=(64 * KB, 512 * KB, 2 * MB, 16 * MB),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
+def campaign_builder(name: str, specs: Iterable[FlowSpec],
+                     sizes: Iterable[int], repetitions: int = 2,
+                     min_reps: int = 1, paired: bool = False
+                     ) -> Callable[..., CampaignSpec]:
+    """The builder of one canned campaign: ``specs`` x ``sizes``, with
+    ``repetitions`` runs per cell by default.
+
+    A campaign whose claims need more runs per cell than ``--reps``
+    gives states that floor as ``min_reps``; an ablation or extension
+    study compares its configs on common random numbers (``paired``).
+    """
+    specs, sizes, default = tuple(specs), tuple(sizes), repetitions
+
+    def build(repetitions: int = default,
+              periods: Tuple[TimeOfDay, ...] = QUICK_PERIODS,
+              base_seed: int = 2013) -> CampaignSpec:
+        return CampaignSpec(
+            name=name, specs=specs, sizes=sizes,
+            repetitions=max(repetitions, min_reps), periods=periods,
+            base_seed=base_seed, paired=paired)
+
+    return build
 
 
-def small_flows_campaign(repetitions: int = 3,
-                         periods: Tuple[TimeOfDay, ...] = QUICK_PERIODS,
-                         base_seed: int = 2013) -> CampaignSpec:
-    """Figures 4/5 and Table 3: AT&T, all controllers, 2 vs 4 paths."""
-    specs: List[FlowSpec] = [
-        FlowSpec.single_path("wifi"),
-        FlowSpec.single_path("cell", carrier="att"),
-    ]
-    for paths in (2, 4):
-        for controller in ("coupled", "olia", "reno"):
-            specs.append(FlowSpec.mptcp(carrier="att",
-                                        controller=controller, paths=paths))
-    return CampaignSpec(
-        name="small-flows", specs=tuple(specs),
-        sizes=(8 * KB, 64 * KB, 512 * KB, 4 * MB),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
+WIFI = FlowSpec.single_path("wifi")
+LTE = FlowSpec.single_path("cell")
+#: The small- and large-flow configs: SP-WiFi, SP-AT&T and MP-2/MP-4
+#: over AT&T with every controller.
+_ATT_CONFIGS = (WIFI, LTE) + tuple(
+    FlowSpec.mptcp(controller=controller, paths=paths)
+    for paths in (2, 4) for controller in ("coupled", "olia", "reno"))
 
-
-def coffee_shop_campaign(repetitions: int = 3,
-                         periods: Tuple[TimeOfDay, ...] = (
-                             TimeOfDay.AFTERNOON,),
-                         base_seed: int = 2013) -> CampaignSpec:
-    """Figures 6/7 and Table 4: busy public hotspot (no olia, as in
-    the paper: 'for the sake of time, we did not measure olia')."""
-    specs: List[FlowSpec] = [
-        FlowSpec.single_path("wifi", wifi="public"),
-        FlowSpec.single_path("cell", carrier="att", wifi="public"),
-    ]
-    for paths in (2, 4):
-        for controller in ("coupled", "reno"):
-            specs.append(FlowSpec.mptcp(carrier="att", wifi="public",
-                                        controller=controller, paths=paths))
-    return CampaignSpec(
-        name="coffee-shop", specs=tuple(specs),
-        sizes=(8 * KB, 64 * KB, 512 * KB, 4 * MB),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
-
-
-def simultaneous_syn_campaign(repetitions: int = 6,
-                              periods: Tuple[TimeOfDay, ...] = QUICK_PERIODS,
-                              base_seed: int = 2013) -> CampaignSpec:
-    """Figure 8: delayed vs simultaneous SYN, MP-2 coupled on AT&T."""
-    specs = (
-        FlowSpec.mptcp(carrier="att", controller="coupled"),
-        FlowSpec.mptcp(carrier="att", controller="coupled",
-                       simultaneous_syn=True),
-    )
-    return CampaignSpec(
-        name="simultaneous-syn", specs=specs,
-        sizes=(64 * KB, 512 * KB, 2 * MB),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
-
-
-def large_flows_campaign(repetitions: int = 2,
-                         periods: Tuple[TimeOfDay, ...] = QUICK_PERIODS,
-                         base_seed: int = 2013) -> CampaignSpec:
-    """Figures 9/10 and Table 5: 4-32 MB, all controllers, 2/4 paths."""
-    specs: List[FlowSpec] = [
-        FlowSpec.single_path("wifi"),
-        FlowSpec.single_path("cell", carrier="att"),
-    ]
-    for paths in (2, 4):
-        for controller in ("coupled", "olia", "reno"):
-            specs.append(FlowSpec.mptcp(carrier="att",
-                                        controller=controller, paths=paths))
-    return CampaignSpec(
-        name="large-flows", specs=tuple(specs),
-        sizes=(4 * MB, 8 * MB, 16 * MB, 32 * MB),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
+#: Figures 2/3 and Table 2: every carrier, SP vs MP, 4 sizes.
+baseline_campaign = campaign_builder(
+    "baseline", (WIFI,) + tuple(FlowSpec.single_path("cell", carrier=carrier)
+                                for carrier in CARRIERS)
+    + tuple(FlowSpec.mptcp(carrier=carrier) for carrier in CARRIERS),
+    (64 * KB, 512 * KB, 2 * MB, 16 * MB), repetitions=3)
+#: Figures 4/5 and Table 3: AT&T, all controllers, 2 vs 4 paths.
+small_flows_campaign = campaign_builder(
+    "small-flows", _ATT_CONFIGS, (8 * KB, 64 * KB, 512 * KB, 4 * MB),
+    repetitions=3)
+#: Figures 6/7 and Table 4: busy public hotspot (no olia, as in the
+#: paper: "for the sake of time, we did not measure olia").
+coffee_shop_campaign = campaign_builder(
+    "coffee-shop", [spec.with_(wifi="public") for spec in _ATT_CONFIGS
+                    if spec.controller != "olia"],
+    (8 * KB, 64 * KB, 512 * KB, 4 * MB), repetitions=3)
+#: Figure 8: delayed vs simultaneous SYN, MP-2 coupled on AT&T.
+simultaneous_syn_campaign = campaign_builder(
+    "simultaneous-syn", (FlowSpec.mptcp(),
+                         FlowSpec.mptcp(simultaneous_syn=True)),
+    (64 * KB, 512 * KB, 2 * MB), repetitions=6)
+#: Figures 9/10 and Table 5: 4-32 MB, all controllers, 2/4 paths.
+large_flows_campaign = campaign_builder(
+    "large-flows", _ATT_CONFIGS, (4 * MB, 8 * MB, 16 * MB, 32 * MB))
 
 
 def backlog_campaign(size: int = 32 * MB, repetitions: int = 3,
@@ -131,50 +103,31 @@ def backlog_campaign(size: int = 32 * MB, repetitions: int = 3,
     The paper transfers 512 MB ("approximate infinite backlog", 10
     iterations); the default here scales to 32 MB so the suite stays
     minutes-scale -- pass ``size=512 * MB`` for the full experiment.
+    Every cell runs at least three times.
     """
-    specs = tuple(
-        FlowSpec.mptcp(carrier="att", controller=controller, paths=paths)
-        for paths in (2, 4) for controller in ("coupled", "reno"))
-    return CampaignSpec(
-        name="backlog", specs=specs, sizes=(size,),
-        repetitions=repetitions, periods=(TimeOfDay.NIGHT,),
-        base_seed=base_seed)
+    return campaign_builder(
+        "backlog", (FlowSpec.mptcp(controller=controller, paths=paths)
+                    for paths in (2, 4) for controller in ("coupled", "reno")),
+        (size,), min_reps=3)(repetitions, (TimeOfDay.NIGHT,), base_seed)
 
 
-#: Middlebox profiles the fallback study sweeps, from "drops every
-#: MPTCP option" down to "only breaks the data-plane mappings".
-FALLBACK_PROFILES = ("strip-all", "strip-capable", "strip-join",
-                     "strip-dss", "rewrite-seq", "proxy")
-
-
-def fallback_campaign(repetitions: int = 3,
-                      periods: Tuple[TimeOfDay, ...] = QUICK_PERIODS,
-                      base_seed: int = 2013,
-                      profiles: Tuple[str, ...] = FALLBACK_PROFILES,
-                      ) -> CampaignSpec:
-    """Middlebox interference: MP-2 behind each interfering box.
-
-    The paper measures MPTCP where it actually worked; RFC 6824's
-    fallback machinery exists for the networks where it would not
-    have.  This campaign puts each middlebox profile on the WiFi
-    access links (the coffee-shop topology of Section 4.3) plus a
-    clean control run, so the rows show what each class of
-    interference costs relative to undisturbed MPTCP.
-    """
-    specs: List[FlowSpec] = [FlowSpec.mptcp(carrier="att",
-                                            controller="coupled")]
-    for profile in profiles:
-        # MP_JOIN travels over the *cellular* path (the join targets
-        # the second interface), so a join-stripping box only matters
-        # there; everything else interferes at the WiFi access links.
-        path = "cell" if profile == "strip-join" else "wifi"
-        specs.append(FlowSpec.mptcp(carrier="att", controller="coupled",
-                                    middlebox=profile,
-                                    middlebox_path=path))
-    return CampaignSpec(
-        name="fallback", specs=tuple(specs),
-        sizes=(64 * KB, 512 * KB, 2 * MB),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
+#: Middlebox interference: MP-2 behind each interfering box, from
+#: "drops every MPTCP option" down to "only breaks the data-plane
+#: mappings".  The paper measures MPTCP where it actually worked; RFC
+#: 6824's fallback machinery exists for the networks where it would not
+#: have.  Each box sits on the WiFi access links (the coffee-shop
+#: topology of Section 4.3) -- except the JOIN stripper: MP_JOIN travels
+#: over the cellular path, so only a box there matters -- beside a clean
+#: control run, so the rows show what each class of interference costs
+#: relative to undisturbed MPTCP on the same draws.
+FALLBACK_SPECS = (FlowSpec.mptcp(),) + tuple(
+    FlowSpec.mptcp(middlebox=profile, middlebox_path=(
+        "cell" if profile == "strip-join" else "wifi"))
+    for profile in ("strip-all", "strip-capable", "strip-join",
+                    "strip-dss", "rewrite-seq", "proxy"))
+fallback_campaign = campaign_builder(
+    "fallback", FALLBACK_SPECS, (64 * KB, 512 * KB, 2 * MB), repetitions=3,
+    paired=True)
 
 
 #: The scheduler policies the lab sweeps (registry specs; see
@@ -190,37 +143,21 @@ LAB_SCHEDULERS = ("minrtt", "roundrobin", "redundant",
 LAB_PATH_PAIRS = ("default", "dual-lte")
 
 
-def scheduler_lab_campaign(repetitions: int = 2,
-                           periods: Tuple[TimeOfDay, ...] = QUICK_PERIODS,
-                           base_seed: int = 2013,
-                           schedulers: Tuple[str, ...] = LAB_SCHEDULERS,
-                           workloads: Optional[Tuple[str, ...]] = None,
-                           path_pairs: Tuple[str, ...] = LAB_PATH_PAIRS,
-                           ) -> CampaignSpec:
-    """Scheduler lab: every policy x workload x path pair, MP-2 coupled.
+#: The application workloads the lab sweeps (see
+#: :mod:`repro.experiments.workloads`).
+LAB_WORKLOADS = ("bulk", "pageload", "video", "realtime")
 
-    The paper fixes the scheduler to minRTT (its Section 2 describes
-    the default policy); this campaign asks how much that choice
-    matters by sweeping the registry's policies over the workload
-    shapes the paper discusses and over two access-network pairs.
-    :func:`scheduler_regret_rows` reduces the matrix to regret vs the
-    per-(workload, pair) oracle.
-    """
-    if workloads is None:
-        from repro.experiments.workloads import WORKLOADS
-        workloads = WORKLOADS
-    specs: List[FlowSpec] = []
-    for pair in path_pairs:
-        for workload in workloads:
-            for scheduler in schedulers:
-                specs.append(FlowSpec.mptcp(
-                    carrier="att", controller="coupled",
-                    scheduler=scheduler, workload=workload,
-                    path_pair=pair))
-    return CampaignSpec(
-        name="scheduler-lab", specs=tuple(specs),
-        sizes=(512 * KB,),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
+#: Scheduler lab: every policy x workload x path pair, MP-2 coupled.
+#: The paper fixes the scheduler to minRTT (its Section 2 describes the
+#: default policy); the lab asks how much that choice matters over the
+#: workload shapes the paper discusses and two access-network pairs.
+#: :func:`scheduler_regret_rows` reduces the matrix to regret vs the
+#: per-(workload, pair) oracle.
+scheduler_lab_campaign = campaign_builder(
+    "scheduler-lab", (FlowSpec.mptcp(scheduler=scheduler, workload=workload,
+                                     path_pair=pair)
+                      for pair in LAB_PATH_PAIRS for workload in LAB_WORKLOADS
+                      for scheduler in LAB_SCHEDULERS), (512 * KB,))
 
 
 #: Background-traffic levels the world campaign sweeps, light to heavy.
@@ -242,60 +179,73 @@ def world_campaign(repetitions: int = 2,
     reports foreground slowdown and background-population fairness
     side by side.
     """
-    specs: List[FlowSpec] = []
-    for world in worlds:
-        specs.append(FlowSpec.single_path("wifi", world=world))
-        specs.append(FlowSpec.mptcp(carrier="att", controller="coupled",
-                                    world=world))
-    return CampaignSpec(
-        name="world", specs=tuple(specs), sizes=(size,),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
+    return campaign_builder(
+        "world", (spec for world in worlds
+                  for spec in (WIFI.with_(world=world),
+                               FlowSpec.mptcp(world=world))),
+        (size,))(repetitions, periods, base_seed)
 
 
-#: The bench_ext_handover outage window: WiFi drops at t=2s, returns
-#: at t=6s -- long enough to force MP_FAIL handover and SP-WiFi RTO
-#: stalls, short enough that every flow can still complete.
+#: The handover outage window: WiFi drops at t=2s, returns at t=6s --
+#: long enough to force MP_FAIL handover and SP-WiFi RTO stalls, short
+#: enough that every flow can still complete.
 SLA_OUTAGE = "outage:down=2,up=6"
 
 
-def sla_report_campaign(repetitions: int = 2,
-                        periods: Tuple[TimeOfDay, ...] = QUICK_PERIODS,
-                        base_seed: int = 2013,
-                        size: int = 8 * MB) -> CampaignSpec:
-    """The ``repro report`` matrix: SLA cohorts with and without a
-    mid-transfer WiFi outage.
+#: The ``repro report`` matrix: Fig. 2-style baselines (SP-WiFi, SP-ATT,
+#: MP-2) undisturbed and again through :data:`SLA_OUTAGE`.  At 8 MB
+#: every transfer is still in flight when WiFi drops at t=2s, so the
+#: failure cohort exercises handover (MP) and RTO stall-and-recover
+#: (SP); :class:`repro.obs.analytics.AnalyticsStore` turns the metered
+#: results into percentile ladders, stalls, path shares and survival.
+sla_report_campaign = campaign_builder(
+    "sla-report", (WIFI, LTE, FlowSpec.mptcp(),
+                   WIFI.with_(failure=SLA_OUTAGE),
+                   FlowSpec.mptcp(failure=SLA_OUTAGE)), (8 * MB,))
 
-    Fig. 2-style baselines (SP-WiFi, SP-ATT, MP-2) run undisturbed and
-    again through :data:`SLA_OUTAGE`; at 8 MB every transfer is still
-    in flight when WiFi drops at t=2s, so the failure cohort exercises
-    handover (MP) and RTO stall-and-recover (SP).  Runs execute with
-    the metrics registry on; :class:`repro.obs.analytics.AnalyticsStore`
-    turns the results into percentile ladders, stall distributions,
-    path shares and survival curves.
-    """
-    specs: List[FlowSpec] = [
-        FlowSpec.single_path("wifi"),
-        FlowSpec.single_path("cell", carrier="att"),
-        FlowSpec.mptcp(carrier="att", controller="coupled"),
-        FlowSpec.single_path("wifi", failure=SLA_OUTAGE),
-        FlowSpec.mptcp(carrier="att", controller="coupled",
-                       failure=SLA_OUTAGE),
-    ]
-    return CampaignSpec(
-        name="sla-report", specs=tuple(specs), sizes=(size,),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
+#: Figures 12/13 and Table 6: MPTCP RTT / OFO tails, 4-32 MB.
+latency_campaign = campaign_builder(
+    "latency", (FlowSpec.mptcp(carrier=carrier) for carrier in CARRIERS),
+    (4 * MB, 8 * MB, 16 * MB, 32 * MB))
 
+_SPRINT = FlowSpec.mptcp(carrier="sprint")
 
-def latency_campaign(repetitions: int = 2,
-                     periods: Tuple[TimeOfDay, ...] = QUICK_PERIODS,
-                     base_seed: int = 2013) -> CampaignSpec:
-    """Figures 12/13 and Table 6: MPTCP RTT / OFO tails, 4-32 MB."""
-    specs = tuple(FlowSpec.mptcp(carrier=carrier, controller="coupled")
-                  for carrier in CARRIERS)
-    return CampaignSpec(
-        name="latency", specs=specs,
-        sizes=(4 * MB, 8 * MB, 16 * MB, 32 * MB),
-        repetitions=repetitions, periods=periods, base_seed=base_seed)
+# The ablation and extension studies: each compares its configs on
+# common random numbers.
+#: Section 3.1's 8 MB shared receive buffer against smaller ones.
+rcvbuf_campaign = campaign_builder(
+    "abl-rcvbuf", (_SPRINT.with_(rcv_buffer=size)
+                   for size in (8 * MB, 2 * MB, 256 * KB, 64 * KB)),
+    (4 * MB,), paired=True)
+#: Section 3.1's 64 KB initial ssthresh against an effectively
+#: infinite one, on the deepest-buffered carrier.
+ssthresh_campaign = campaign_builder(
+    "abl-ssthresh", (FlowSpec.single_path("cell", carrier="verizon",
+                                          ssthresh=ssthresh)
+                     for ssthresh in (64 * KB, 1 << 30)),
+    (8 * MB,), min_reps=4, paired=True)
+#: Section 3.1's "no subflow penalty": penalization on vs off with the
+#: 8 MB buffer.
+penalty_campaign = campaign_builder(
+    "abl-penalty", (FlowSpec.mptcp(carrier=carrier, penalization=on)
+                    for carrier in ("att", "sprint") for on in (False, True)),
+    (4 * MB, 16 * MB), paired=True)
+#: Section 4's structure on a geometric size grid, 16 KB to 16 MB.
+crossover_campaign = campaign_builder(
+    "crossover", (WIFI, LTE, FlowSpec.mptcp()),
+    (16 * KB * 4 ** power for power in range(6)), min_reps=5, paired=True)
+#: An 8 MB download through the SLA report's mid-transfer WiFi outage.
+handover_campaign = campaign_builder(
+    "handover", (WIFI.with_(failure=SLA_OUTAGE),
+                 FlowSpec.mptcp(failure=SLA_OUTAGE)), (8 * MB,), paired=True)
+#: Interactive frames over the loaded hotspot plus each carrier: the
+#: stock scheduler against the redundant one (Section 5.2's budget).
+realtime_campaign = campaign_builder(
+    "realtime", (FlowSpec.mptcp(carrier=carrier, wifi="public",
+                                scheduler=scheduler, workload="realtime")
+                 for carrier in CARRIERS
+                 for scheduler in ("minrtt", "redundant")), (512 * KB,),
+    paired=True)
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +260,27 @@ def _group(results: Iterable[RunResult]
     return groups
 
 
+#: The knobs the paper holds fixed, as a config label prints them when
+#: a study varies them.
+_KNOBS = {"rcv_buffer": lambda value: f"rcvbuf {format_bytes(value)}",
+          "ssthresh": lambda value: f"ssthresh {format_bytes(value)}",
+          "penalization": lambda value: "penalized",
+          "scheduler": str, "failure": str}
+_PAPER = FlowSpec(mode="mp")
+
+
+def _knobs(spec: FlowSpec) -> str:
+    return "".join(f" {text(getattr(spec, knob))}"
+                   for knob, text in _KNOBS.items()
+                   if getattr(spec, knob) != getattr(_PAPER, knob))
+
+
 def _spec_column_label(spec: FlowSpec) -> str:
-    """Disambiguate per-carrier MPTCP columns, like 'MP-ATT'."""
-    if spec.mode == "mp":
-        return f"MP-{spec.carrier_label}" if spec.paths == 2 else spec.label
-    return spec.label
+    """Disambiguate per-carrier MPTCP columns, like 'MP-ATT', and the
+    knobs a study varies, like 'MP-Sprint rcvbuf 64 KB'."""
+    if spec.mode == "mp" and spec.paths == 2:
+        return f"MP-{spec.carrier_label}{_knobs(spec)}"
+    return spec.label + _knobs(spec)
 
 
 def download_time_rows(results: Sequence[RunResult],
@@ -394,7 +360,8 @@ def path_characteristics_rows(results: Sequence[RunResult],
         if not losses:
             continue
         loss_mean, loss_stderr = mean_stderr(losses)
-        label = "WiFi" if spec.interface == "wifi" else spec.carrier_label
+        label = ("WiFi" if spec.interface == "wifi"
+                 else spec.carrier_label) + _knobs(spec)
         loss_text = ("~" if loss_mean < 0.0003 else
                      format_mean_stderr(loss_mean, loss_stderr, scale=100))
         rtt_text = "-"
@@ -659,47 +626,40 @@ def download_time_plot(results: Sequence[RunResult],
     return "\n".join(sections)
 
 
-def rtt_ccdf_plot(results: Sequence[RunResult],
-                  size: Optional[int] = None) -> str:
-    """ASCII CCDF chart of packet RTTs (ms) per carrier path."""
+def _ccdf_plot(results: Sequence[RunResult], title: str,
+               series_of: Callable[[RunResult], List[Tuple[str, List[float]]]],
+               ) -> str:
+    """ASCII CCDF chart (ms) of the MPTCP runs at the largest size."""
     from repro.experiments.plots import render_ccdf
     from repro.experiments.stats import ccdf
     pooled: Dict[str, List[float]] = {}
-    sizes = {result.size for result in results if result.completed}
-    target = size if size is not None else max(sizes, default=0)
+    target = max((result.size for result in results if result.completed),
+                 default=0)
     for result in results:
         if (result.spec.mode != "mp" or not result.completed
                 or result.size != target):
             continue
-        for path in ("wifi", result.spec.carrier):
-            samples = result.metrics.rtt_samples(path)
+        for label, samples in series_of(result):
             if samples:
-                pooled.setdefault(path, []).extend(
+                pooled.setdefault(label, []).extend(
                     [value * 1000 for value in samples])
     series = {label: ccdf(samples) for label, samples in pooled.items()}
-    title = f"packet RTT CCDF at {format_bytes(target)}"
-    return f"{title}\n{render_ccdf(series)}"
+    return f"{title.format(format_bytes(target))}\n{render_ccdf(series)}"
 
 
-def ofo_ccdf_plot(results: Sequence[RunResult],
-                  size: Optional[int] = None) -> str:
-    """ASCII CCDF chart of OFO delays (ms) per carrier."""
-    from repro.experiments.plots import render_ccdf
-    from repro.experiments.stats import ccdf
-    pooled: Dict[str, List[float]] = {}
-    sizes = {result.size for result in results if result.completed}
-    target = size if size is not None else max(sizes, default=0)
-    for result in results:
-        if (result.spec.mode != "mp" or not result.completed
-                or result.size != target):
-            continue
-        delays = [value * 1000 for value in result.metrics.ofo_delays
-                  if value > 0]
-        if delays:
-            pooled.setdefault(result.spec.carrier, []).extend(delays)
-    series = {label: ccdf(samples) for label, samples in pooled.items()}
-    title = f"out-of-order delay CCDF at {format_bytes(target)} (>0 only)"
-    return f"{title}\n{render_ccdf(series)}"
+def rtt_ccdf_plot(results: Sequence[RunResult]) -> str:
+    """Packet RTTs per carrier path."""
+    return _ccdf_plot(results, "packet RTT CCDF at {}", lambda result: [
+        (path, result.metrics.rtt_samples(path))
+        for path in ("wifi", result.spec.carrier)])
+
+
+def ofo_ccdf_plot(results: Sequence[RunResult]) -> str:
+    """OFO delays per carrier (the in-order zeros left out)."""
+    return _ccdf_plot(
+        results, "out-of-order delay CCDF at {} (>0 only)", lambda result: [
+            (result.spec.carrier,
+             [value for value in result.metrics.ofo_delays if value > 0])])
 
 
 def syn_comparison_rows(results: Sequence[RunResult]

@@ -8,8 +8,9 @@ testbed's override hook -- and measures a metric across seeds at each
 value.
 
 Example: how does MPTCP's advantage over the best single path depend
-on the WiFi loss rate?  (`sweep_wifi_loss` below; the benchmark
-``bench_ext_sensitivity.py`` prints it.)
+on the WiFi loss rate?  (`sweep_wifi_loss` below.)  The sweeps run
+``Measurement`` directly, outside ``execute_plan`` and the run cache;
+no ``repro`` artifact selects them yet.
 """
 
 from __future__ import annotations

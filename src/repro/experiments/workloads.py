@@ -179,9 +179,6 @@ _WORKLOADS = {
     cls.name: cls for cls in (PageloadWorkload, VideoWorkload,
                               RealtimeWorkload)}
 
-#: The workload names, in campaign-matrix order.
-WORKLOADS = ("bulk", "pageload", "video", "realtime")
-
 
 def build_workload(name: str, sim, connection, seed: int, size: int):
     """Build the named non-bulk workload driver over ``connection``.

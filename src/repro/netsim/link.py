@@ -204,7 +204,8 @@ class Link:
         individual RTT samples though not the download time
         (tests/netsim/test_link_batched.py pins both facts).  The
         determinism guard and perfbench/oracle.json pin the batched
-        ordering.
+        ordering; ROADMAP item 4(ii) keeps one of the two pipelines
+        and, like item 4(i), waits for the oracle re-pin of item 9(e).
         """
         self._vectorized = False
 

@@ -26,7 +26,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 
 class RunLog:
@@ -73,34 +73,6 @@ class RunLog:
         return records
 
 
-def run_log_wall_times(path) -> Dict[Tuple[str, int], List[float]]:
-    """Observed wall seconds per ``(FlowSpec.identity, size)``.
-
-    Reads a run log's ``finish`` records — the per-run ``wall_s``
-    surfaced to the parent for dispatch-cost calibration
-    (:meth:`repro.cache.CostModel.from_run_log`).  Records from before
-    the ``size`` field existed fall back to parsing it out of the run
-    key; unparseable records are skipped, never fatal.
-    """
-    times: Dict[Tuple[str, int], List[float]] = {}
-    for record in RunLog.read(path):
-        if record.get("event") != "finish":
-            continue
-        duration = record.get("duration_s")
-        identity = record.get("spec")
-        size = record.get("size")
-        if size is None:
-            # Old logs: the key is "identity|size|seed|period".
-            try:
-                size = int(str(record.get("key")).rsplit("|", 3)[1])
-            except (IndexError, ValueError):
-                continue
-        if duration is None or identity is None:
-            continue
-        times.setdefault((identity, int(size)), []).append(float(duration))
-    return times
-
-
 def run_log_failovers(path) -> List[dict]:
     """Distributed-execution failover records from a run log.
 
@@ -130,8 +102,7 @@ def finish_record(descriptor, result, duration: Optional[float],
     """The fields of a ``finish`` record, whoever writes it (the
     in-process loop's :class:`WorkerTelemetry` or the coordinator on a
     worker's behalf).  ``size`` + ``duration_s`` make finish records
-    directly consumable as cost-model calibration samples
-    (:func:`run_log_wall_times`) without parsing the key; ``duration``
+    readable as wall-time samples without parsing the key; ``duration``
     is ``None`` for a cell a worker served from its local cache."""
     record = dict(_cell_record(descriptor, duration, worker),
                   events=events, completed=result.completed,

@@ -401,10 +401,10 @@ def test_cache_hits_backfill_the_journal_and_vice_versa(tmp_path,
 
 def test_all_hit_pass_never_reads_the_run_log(tmp_path, baseline,
                                               monkeypatch):
-    """With nothing to dispatch there is nothing to order: an all-hit
-    pass builds no cost model, so the run log is never parsed."""
-    from repro.cache import CostModel
+    """An all-hit pass restores every cell from the cache without
+    parsing the run log a previous pass left."""
     from repro.experiments.parallel import execute_plan
+    from repro.obs.telemetry import RunLog
 
     spec = small_campaign()
     plan = Campaign(spec).plan()
@@ -416,7 +416,7 @@ def test_all_hit_pass_never_reads_the_run_log(tmp_path, baseline,
     def forbidden(path):
         raise AssertionError(f"run log {path} parsed on an all-hit pass")
 
-    monkeypatch.setattr(CostModel, "from_run_log", forbidden)
+    monkeypatch.setattr(RunLog, "read", forbidden)
     restored = execute_plan(plan, cache=str(root), run_log=str(run_log),
                             jobs=2)
     assert full_dicts(restored) == full_dicts(baseline)

@@ -12,7 +12,6 @@ from repro.experiments.parallel import default_jobs, execute_plan
 from repro.experiments.runner import Campaign, CampaignSpec, \
     RunDescriptor
 from repro.experiments.storage import result_to_dict
-from repro.obs.telemetry import RunLog, run_log_wall_times
 from repro.wireless.profiles import TimeOfDay
 
 KB = 1024
@@ -109,32 +108,6 @@ def test_descriptor_without_spec_gets_default_cost():
             raise NotImplementedError
 
     assert CostModel().estimate(Bare()) == SETUP_COST_S
-
-
-def test_calibration_from_run_log(tmp_path):
-    path = tmp_path / "run_log.jsonl"
-    wifi = FlowSpec.single_path("wifi")
-    with RunLog(path) as log:
-        log.log("start", key="x", spec=wifi.identity, size=2 * MB)
-        log.log("finish", key="x", spec=wifi.identity, size=2 * MB,
-                duration_s=7.5)
-        log.log("finish", key="y", spec=wifi.identity, size=2 * MB,
-                duration_s=8.5)
-        log.log("fail", key="z", spec=wifi.identity, size=2 * MB,
-                duration_s=99.0)
-    times = run_log_wall_times(path)
-    assert times == {(wifi.identity, 2 * MB): [7.5, 8.5]}
-    model = CostModel.from_run_log(path)
-    assert model.estimate(_descriptor(0, wifi, 2 * MB)) == \
-        pytest.approx(8.0)
-
-
-def test_wall_times_parse_size_from_old_log_keys(tmp_path):
-    path = tmp_path / "run_log.jsonl"
-    with RunLog(path) as log:
-        log.log("finish", key="mode=sp;x=1|65536|9|night",
-                spec="mode=sp;x=1", duration_s=1.5)
-    assert run_log_wall_times(path) == {("mode=sp;x=1", 65536): [1.5]}
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,14 @@ failover, warm reruns, single-writer stores, clean teardown)."""
 
 import dataclasses
 import io
+import json
 import multiprocessing
 import os
 import socket
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache import RunCache
 from repro.experiments import distributed, storage
@@ -25,6 +27,7 @@ from repro.experiments.distributed import (
 )
 from repro.experiments.parallel import execute_plan, run_cell
 from repro.experiments.protocol import (
+    MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     descriptor_from_dict,
@@ -139,6 +142,56 @@ def test_framing_rejects_truncated_header():
             recv_message(b)
     finally:
         b.close()
+
+
+class _Wire:
+    """A socket stand-in that replays fixed bytes, then a clean EOF."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def recv(self, count):
+        return self._data.read(count)
+
+
+def _frame(body, length=None):
+    return (len(body) if length is None else length).to_bytes(4, "big") + body
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+_BODIES = st.one_of(
+    _JSON.map(lambda value: json.dumps(value).encode()),   # maybe no object
+    st.binary(max_size=64),                                # maybe not UTF-8
+    st.integers(1, 200_000).map(lambda depth: b"[" * depth),
+    st.integers(1, 200_000).map(lambda depth: b'{"a":' * depth))
+_FRAMES = st.one_of(
+    st.builds(_frame, _BODIES),
+    # A length prefix anywhere up to and past the ceiling: the body is
+    # then truncated (or trailed by bytes of the next frame).
+    st.builds(_frame, _BODIES, st.integers(0, 2 * MAX_MESSAGE_BYTES)),
+    st.builds(lambda frame, cut: frame[:cut], st.builds(_frame, _BODIES),
+              st.integers(0, 64)))
+
+
+@settings(deadline=None)
+@given(frame=_FRAMES)
+@example(frame=_frame(b"[" * 200_000))
+@example(frame=_frame(b"\xff\xfe"))
+@example(frame=_frame(b"[1, 2]"))
+@example(frame=_frame(b"{}", length=MAX_MESSAGE_BYTES + 1))
+def test_framing_yields_a_dict_none_or_protocol_error(frame):
+    """Whatever arrives, a frame decodes to a JSON object, ``None`` (a
+    clean EOF) or :class:`ProtocolError`, never another exception."""
+    try:
+        message = recv_message(_Wire(frame))
+    except ProtocolError:
+        return
+    assert message is None or isinstance(message, dict)
+    if message is None:
+        assert frame == b""
 
 
 def test_parse_address():
@@ -398,6 +451,37 @@ def test_a_malformed_publish_never_fills_a_slot(mangle, tmp_path):
     errors = [record for record in RunLog.read(run_log)
               if record["event"] == "worker_error"]
     assert [record["worker"] for record in errors] == ["liar"]
+
+
+def test_a_too_deeply_nested_frame_is_a_worker_error(tmp_path):
+    """200,000 bytes of ``[`` overflow the JSON decoder's recursion: the
+    coordinator logs a ``worker_error`` and drops the worker."""
+    plan = Campaign(small_campaign()).plan()
+    run_log = tmp_path / "run_log.jsonl"
+    coordinator = Coordinator(plan, [[0, 1, 2, 3]], total=len(plan),
+                              is_filled=lambda p: False,
+                              deliver=lambda *args: None,
+                              run_log=str(run_log))
+    try:
+        coordinator.start()
+        with socket.create_connection(coordinator.address,
+                                      timeout=10.0) as conn:
+            send_message(conn, {"type": "hello", "worker": "nester",
+                                "jobs": 1, "protocol": PROTOCOL_VERSION,
+                                "format_version": storage.FORMAT_VERSION})
+            assert recv_message(conn)["type"] == "welcome"
+            conn.sendall(_frame(b"[" * 200_000))
+            try:
+                reply = recv_message(conn)
+            except OSError:
+                reply = None
+            assert reply is None                # dropped, not answered
+    finally:
+        coordinator.close()
+    errors = [record for record in RunLog.read(run_log)
+              if record["event"] == "worker_error"]
+    assert [record["worker"] for record in errors] == ["nester"]
+    assert "ProtocolError" in errors[0]["error"]
 
 
 @pytest.mark.parametrize("boom_at", [1, 2])

@@ -1,5 +1,6 @@
 """Tests for Measurement and Campaign."""
 
+import dataclasses
 
 from repro.experiments.config import FlowSpec
 from repro.experiments.runner import Campaign, CampaignSpec, Measurement
@@ -125,3 +126,23 @@ def test_campaign_seeds_unique_across_matrix():
     plan = Campaign(spec).plan()
     seeds = {descriptor.seed for descriptor in plan}
     assert len(seeds) == spec.total_runs()
+
+
+def test_paired_campaign_shares_seeds_across_configs():
+    """Common random numbers: every config of a (size, period,
+    repetition) draws the same seed; unpaired, each draws its own."""
+    a = FlowSpec.mptcp(carrier="att")
+    b = a.with_(penalization=True)
+    spec = CampaignSpec(name="t", specs=(a, b), sizes=(8 * KB, 16 * KB),
+                        repetitions=2, periods=(TimeOfDay.NIGHT,),
+                        paired=True)
+
+    def seeds(campaign, flow):
+        return sorted(descriptor.seed for descriptor in campaign.plan()
+                      if descriptor.spec == flow)
+
+    paired = Campaign(spec)
+    assert seeds(paired, a) == seeds(paired, b)
+    assert len(set(seeds(paired, a))) == 4
+    unpaired = Campaign(dataclasses.replace(spec, paired=False))
+    assert not set(seeds(unpaired, a)) & set(seeds(unpaired, b))

@@ -97,6 +97,19 @@ def test_download_time_rows_summarize_five_numbers():
                      "1.000", "1.500", "2.000", "2.500", "3.000"]]
 
 
+def test_study_configs_are_labelled_by_the_knob_they_vary():
+    """The paper's own configs keep their labels; an ablation's shows
+    the knob it moved off the paper's setting."""
+    sprint = FlowSpec.mptcp(carrier="sprint")
+    results = [make_result(spec, 4 * MB) for spec in (
+        sprint, sprint.with_(rcv_buffer=64 * KB),
+        sprint.with_(penalization=True), FlowSpec.single_path("wifi"))]
+    _, rows = download_time_rows(results, label_by_carrier=True)
+    assert sorted(row[1] for row in rows) == [
+        "MP-Sprint", "MP-Sprint penalized", "MP-Sprint rcvbuf 64 KB",
+        "SP-WiFi"]
+
+
 def test_traffic_share_rows_skip_single_path():
     sp = FlowSpec.single_path("wifi")
     mp = FlowSpec.mptcp(carrier="att")

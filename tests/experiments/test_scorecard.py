@@ -121,6 +121,21 @@ def test_cli_artifact_exits_1_on_incomplete_runs(monkeypatch, capsys):
     assert "runs incomplete" in capsys.readouterr().out
 
 
+def test_only_gated_rows_fail_a_study(monkeypatch, capsys):
+    """A reported row that does not hold prints MISS and leaves the exit
+    code alone; a gated one fails the run."""
+    monkeypatch.setattr(
+        "repro.experiments.parallel.execute_plan",
+        lambda plan, **execution: [
+            _run(cell.spec, cell.seed, 0.0, False, cell.size)
+            for cell in plan])
+    assert main(["ext_handover", "--reps", "1", "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert "[MISS] ext_handover: " in out and ", reported]" in out
+    assert main(["abl_ssthresh", "--reps", "1", "--no-cache"]) == 1
+    assert "[FAIL] abl_ssthresh: " in capsys.readouterr().out
+
+
 @given(a=st.one_of(st.none(), VALUES), b=VALUES, k=st.floats(0.01, 10),
        op=st.sampled_from(sorted(OPS)))
 def test_margin_sign_matches_comparison(a, b, k, op):

@@ -320,7 +320,8 @@ def test_mp4_download_time_is_identical_without_batching(
     "MP-4: two same-instant packets of sibling subflows swap on the "
     "wire between batched and per-packet link service (18 of 489 WiFi "
     "RTT samples differ, same sum); the oracle pins the batched "
-    "ordering.  Open question under ROADMAP item 3."))
+    "ordering.  ROADMAP item 4(ii) keeps one pipeline; it waits for "
+    "the perfbench/oracle.json re-pin of item 9(e)."))
 def test_mp4_rtt_samples_are_identical_without_batching(
         mp4_batched_and_per_packet):
     batched, per_packet = mp4_batched_and_per_packet

@@ -1,12 +1,12 @@
 """Surface gate: nothing under ``src/repro`` that only tests reach.
 
 Modules: every module must be imported by code outside ``tests/`` --
-another part of ``src/repro``, a benchmark, an example or the
-perfbench harness.  A package ``__init__`` re-exporting its own
-submodule does not count (that is how an unused module stays loaded),
-but importing a name that an ``__init__`` binds from a submodule counts
-for that submodule, and so does a ``repro.obs._LAZY`` entry.  A module
-only a test needs lives beside that test, as
+another part of ``src/repro``, an example or the perfbench harness.
+A package ``__init__`` re-exporting its own submodule does not count
+(that is how an unused module stays loaded), but importing a name that
+an ``__init__`` binds from a submodule counts for that submodule, and
+so does a ``repro.obs._LAZY`` entry.  A module only a test needs lives
+beside that test, as
 ``tests/netsim/reference_link.py`` does.  Package ``__init__`` files
 are exempt: any submodule import loads them.
 
@@ -28,12 +28,16 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-CALLERS = ("src/repro", "benchmarks", "examples", "perfbench")
+CALLERS = ("src/repro", "examples", "perfbench")
 
 #: Reached only by tests, and kept on purpose.
 ALLOWED = {
     "repro.app.ping": "the seed-era tests/app/test_ping.py exercises the "
                       "RRC promotion delay through it",
+    "repro.experiments.sensitivity": "the seed-era "
+                                     "tests/experiments/test_sensitivity.py "
+                                     "exercises its profile-override sweeps "
+                                     "until they run on execute_plan",
 }
 
 

@@ -124,9 +124,9 @@ def test_measurement_with_background_slows_foreground():
     "share stays reserved after its download completes, while the "
     "background drains (MP-2 closed-32, 2 MiB, seed 7: bg goodput "
     "19.04 Mbit/s held, 22.90 released at the first poll after "
-    "completion, same download time).  The fix moves the world-campaign "
-    "digest and the slowpath_flows oracle; it waits for the re-pin "
-    "next to ROADMAP item 9(c)."))
+    "completion, same download time).  The fix is ROADMAP item 4(i); it "
+    "moves the world-campaign digest and the slowpath_flows oracle, so "
+    "it waits for the perfbench/oracle.json re-pin of item 9(e)."))
 def test_foreground_share_is_released_when_its_download_completes(
         monkeypatch):
     worlds = []
